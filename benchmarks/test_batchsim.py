@@ -1,11 +1,12 @@
 """Bench: the whole ablation grid in one batch pass.
 
-The batch engine's contract is "the 17-cell ablation grid for the
-wall-clock of a couple of fastsim cells".  The unit of comparison is a
-*sweep cell*: read + decode + replay of one recorded trace, exactly
-what ``repro sweep --replay`` and ``repro trace replay`` pay per cell.
-Solo fastsim pays the scalar per-record decode for every cell; the
-batch engine decodes once (vectorized), partitions once, and advances
+The batch engine's contract is "the 17-cell ablation grid for a
+fraction of 17 solo replays".  The unit of comparison is a *sweep
+cell*: read + decode + replay of one recorded trace, exactly what
+``repro sweep --replay`` and ``repro trace replay`` pay per cell.  A
+solo ``--engine fast`` replay is itself a one-lane batch, so it pays
+the vectorized decode and the set partitioning for every cell; the
+batch pass decodes once, partitions once per geometry, and advances
 every lane through the shared stream — lanes with provably identical
 trajectories (baseline vs stall_bypass, replay-inert knobs) share one
 kernel run outright.
@@ -13,7 +14,8 @@ kernel run outright.
 This bench replays the full 17-cell grid both ways on BFS (the
 workload's hit/miss mix is representative; see BENCH_trace_replay),
 asserts every lane bit-identical to its solo fast replay, asserts the
-wall-clock budget, and writes ``benchmarks/BENCH_batchsim.json``.
+batch grid beats the 17 solo cells by the committed factor, and writes
+``benchmarks/BENCH_batchsim.json``.
 """
 
 from __future__ import annotations
@@ -57,9 +59,12 @@ ABLATIONS = [
     ("dlp", {"insn_sample_limit": 500}),
 ]
 
-#: Acceptance: the whole grid must cost at most this many single-cell
-#: fastsim wall-clocks.
-MAX_GRID_RATIO = 3.0
+#: Acceptance: one batch pass over the grid must be at least this many
+#: times faster than replaying its 17 cells solo with ``engine="fast"``.
+#: 2.2x restates the earlier budget of 3 solo cells of the former
+#: hand-written fast loop (3 x 0.211 s on BFS) against 17 solo one-lane
+#: kernel replays (17 x 0.081 s).
+MIN_GRID_SPEEDUP = 2.2
 
 BENCH_JSON = Path(__file__).parent / "BENCH_batchsim.json"
 
@@ -118,7 +123,7 @@ def test_batchsim_grid_economics(benchmark, show, tmp_path):
         "app": APP,
         "num_sms": NUM_SMS,
         "scale": SCALE,
-        "max_grid_ratio": MAX_GRID_RATIO,
+        "min_grid_speedup": MIN_GRID_SPEEDUP,
         **data,
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
@@ -127,18 +132,18 @@ def test_batchsim_grid_economics(benchmark, show, tmp_path):
         [
             ("trace records", str(data["records"])),
             ("grid cells", str(data["cells"])),
-            ("one fastsim cell", f"{data['fast_cell_s']:.3f} s"),
+            ("one solo fast cell", f"{data['fast_cell_s']:.3f} s"),
             ("batch grid (17 lanes)", f"{data['batch_grid_s']:.3f} s"),
             ("serial grid (17 cells)", f"{data['serial_grid_s']:.3f} s"),
-            ("grid / cell ratio", f"{data['grid_ratio']:.2f}x "
-                                  f"(budget {MAX_GRID_RATIO:.0f}x)"),
-            ("batch vs serial", f"{data['grid_speedup']:.2f}x"),
+            ("grid / cell ratio", f"{data['grid_ratio']:.2f}x"),
+            ("batch vs serial", f"{data['grid_speedup']:.2f}x "
+                                f"(floor {MIN_GRID_SPEEDUP:.1f}x)"),
             ("bit-identical", str(data["identical"])),
         ],
         title=f"17-cell ablation grid, one pass ({APP} scale {SCALE})",
     ))
-    assert data["identical"], "batch lanes diverged from solo fastsim"
-    assert data["grid_ratio"] <= MAX_GRID_RATIO, (
-        f"17-cell grid cost {data['grid_ratio']:.2f}x one fastsim cell, "
-        f"budget is {MAX_GRID_RATIO:.0f}x"
+    assert data["identical"], "batch lanes diverged from solo fast replays"
+    assert data["grid_speedup"] >= MIN_GRID_SPEEDUP, (
+        f"17-cell batch grid is only {data['grid_speedup']:.2f}x faster "
+        f"than 17 solo fast cells, floor is {MIN_GRID_SPEEDUP:.1f}x"
     )

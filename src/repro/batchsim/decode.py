@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import gzip
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -170,23 +171,33 @@ def decode_reader(reader: TraceReader) -> List[SmColumns]:
 
 
 def decode_records(
-    records: Sequence[TraceRecord], num_sms: int
+    records: Iterable[TraceRecord], num_sms: int
 ) -> List[SmColumns]:
-    """Bucket an in-memory record stream per SM and build columns."""
-    blocks: List[List[int]] = [[] for _ in range(num_sms)]
-    pcs: List[List[int]] = [[] for _ in range(num_sms)]
-    writes: List[List[int]] = [[] for _ in range(num_sms)]
-    warps: List[List[int]] = [[] for _ in range(num_sms)]
-    for record in records:
-        sm_id = record[0]
-        blocks[sm_id].append(record[1])
-        pcs[sm_id].append(record[2])
-        writes[sm_id].append(int(record[3]))
-        warps[sm_id].append(record[4])
-    return [
-        _columns_from_lists(sm, blocks[sm], pcs[sm], writes[sm], warps[sm])
-        for sm in range(num_sms)
-    ]
+    """Bucket an in-memory record stream per SM and build columns.
+
+    Records may omit the trailing ``warp_id`` field (4-field
+    ``(sm, block, pc, is_write)`` tuples), which then defaults to 0 as
+    in every other replay entry point."""
+    rows: List[Tuple[Any, ...]] = list(records)
+    n = len(rows)
+    if n and min(map(len, rows)) < 5:
+        rows = [(r[0], r[1], r[2], r[3], r[4] if len(r) > 4 else 0)
+                for r in rows]
+    sms, blocks, pcs, writes, warps = (
+        np.fromiter(map(itemgetter(field), rows), dtype=np.int64, count=n)
+        for field in range(5)
+    )
+    if n and not 0 <= int(sms.min()) <= int(sms.max()) < num_sms:
+        raise IndexError(f"records name SMs outside 0..{num_sms - 1}")
+    order = np.argsort(sms, kind="stable")
+    bounds = np.zeros(num_sms + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sms, minlength=num_sms), out=bounds[1:])
+    out: List[SmColumns] = []
+    for sm in range(num_sms):
+        idx = order[bounds[sm]:bounds[sm + 1]]
+        out.append(SmColumns(sm, blocks[idx], pcs[idx], writes[idx],
+                             warps[idx]))
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,23 +1,25 @@
 """The batch replay engine: N policy lanes over one decoded trace.
 
 :func:`replay_batch` is the multi-lane front door: it decodes and
-partitions the trace once (:mod:`repro.batchsim.decode`), then advances
-every lane — a (scheme, policy_kwargs) variant — through the stream via
-the specialized kernels in :mod:`repro.batchsim.kernels`.  Lanes whose
+partitions the trace once (:func:`decode_source`), then advances every
+lane — a (scheme, policy_kwargs) variant — through the stream via the
+specialized kernels in :mod:`repro.batchsim.kernels`.  Lanes whose
 blocking-replay trajectories are provably identical (``baseline`` vs
 ``stall_bypass``, knobs the replay path never reads such as
 ``insn_sample_limit``) share one kernel run and the survivors get a
 state copy, so a 17-cell ablation grid costs ~15 kernel passes plus one
 decode instead of 17 full replays.
 
-:class:`BatchReplayEngine` is the single-lane adapter behind
-``--engine batch``: constructor-compatible with
-:class:`~repro.fastsim.replay.FastReplayEngine` and bit-identical to it
-(and therefore to the reference engine) lane for lane, so batch results
-resolve the same store entries as either other engine.  Non-blocking
-mode has no batch specialization — fills in flight break the per-window
-set decomposition — so NB lanes run the ordinary per-record engine,
-one private engine per lane (no cross-lane state by construction).
+A solo ``--engine fast`` replay is the one-lane case:
+:meth:`~repro.fastsim.replay.FastReplayEngine.run` decodes its stream
+with :func:`decode_source` and drives its caches with
+:func:`run_lane`.  Every lane is bit-identical to a solo replay through
+the reference engine (:class:`~repro.trace.replay.ReplayEngine`), the
+oracle of the differential suites in ``tests/batchsim`` and
+``tests/fastsim``.  Non-blocking mode has no batch specialization —
+fills in flight break the per-window set decomposition — so NB lanes
+run the ordinary per-record engine, one private engine per lane (no
+cross-lane state by construction).
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from repro.fastsim.replay import FastReplayEngine
 from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import SimResult
 from repro.trace.format import TraceReader, TraceRecord
-from repro.trace.replay import _resolve
+from repro.trace.replay import _resolve, check_trace_fits
 
 from repro.batchsim.decode import (
-    SmColumns,
     TracePartitions,
     _columns_from_lists,
     decode_reader,
@@ -91,8 +92,8 @@ def _copy_cache(src: FastL1DCache, dst: FastL1DCache) -> None:
                 dict(value) if isinstance(value, dict) else value)
 
 
-def _run_lane(engine: FastReplayEngine, parts: TracePartitions) -> None:
-    """Drive one lane's per-SM caches through the shared partitions."""
+def run_lane(engine: FastReplayEngine, parts: TracePartitions) -> None:
+    """Drive one lane's fresh per-SM caches through the shared partitions."""
     for sm_id, cache in enumerate(engine.caches):
         columns = parts.columns[sm_id]
         part = parts.get(sm_id, cache._num_sets, cache.geometry.index_fn)
@@ -106,10 +107,23 @@ def _run_lane(engine: FastReplayEngine, parts: TracePartitions) -> None:
         engine.replayed_records += columns.n
 
 
-def _pad_columns(columns: List[SmColumns], num_sms: int) -> List[SmColumns]:
-    while len(columns) < num_sms:
+def decode_source(
+    source: Union[TraceReader, Iterable[TraceRecord]], config: GPUConfig
+) -> TracePartitions:
+    """Decode a replay source once into the partitions lanes share.
+
+    A :class:`TraceReader` decodes vectorized (and must fit ``config``,
+    as for :func:`~repro.trace.replay.replay_trace`); SMs the trace
+    lacks replay empty streams.  Any other iterable is an in-memory
+    record stream, bucketed per SM.
+    """
+    if not isinstance(source, TraceReader):
+        return TracePartitions(decode_records(source, config.num_sms))
+    check_trace_fits(source, config)
+    columns = decode_reader(source)
+    while len(columns) < config.num_sms:
         columns.append(_columns_from_lists(len(columns), [], [], [], []))
-    return columns
+    return TracePartitions(columns)
 
 
 def replay_batch(
@@ -122,28 +136,12 @@ def replay_batch(
     ``source`` is a :class:`TraceReader` (decoded vectorized) or an
     in-memory record sequence; ``lanes`` are (scheme, policy_kwargs)
     pairs.  Returns one :class:`SimResult` per lane, in order, each
-    bit-identical to a solo ``replay_trace(..., engine="fast")`` run of
-    that lane.
+    bit-identical to a solo ``replay_trace(..., engine="reference")``
+    run of that lane.
     """
     if config is None:
         config = GPUConfig()
-    if isinstance(source, TraceReader):
-        reader = source
-        if config.num_sms < reader.num_sms:
-            raise ValueError(
-                f"trace has {reader.num_sms} SM streams but config "
-                f"provides only {config.num_sms} SMs"
-            )
-        if config.l1d.line_size != reader.line_size:
-            raise ValueError(
-                f"line-size mismatch: trace recorded at "
-                f"{reader.line_size} B, config uses "
-                f"{config.l1d.line_size} B"
-            )
-        columns = _pad_columns(decode_reader(reader), config.num_sms)
-    else:
-        columns = decode_records(list(source), config.num_sms)
-    parts = TracePartitions(columns)
+    parts = decode_source(source, config)
 
     engines: List[FastReplayEngine] = []
     for scheme, policy_kwargs in lanes:
@@ -158,14 +156,14 @@ def replay_batch(
             # decomposition.  Each NB lane gets its own engine pass over
             # the shared decoded records — lane isolation by construction.
             if not nb_records:
-                for col in columns:
+                for col in parts.columns:
                     nb_records.extend(col.records())
             engine.run(iter(nb_records))
             continue
         key = _lane_key(engine.caches[0])
         prior = done.get(key)
         if prior is None:
-            _run_lane(engine, parts)
+            run_lane(engine, parts)
             done[key] = engine
         else:
             for src, dst in zip(prior.caches, engine.caches):
@@ -175,23 +173,4 @@ def replay_batch(
     return [engine.result() for engine in engines]
 
 
-class BatchReplayEngine(FastReplayEngine):
-    """Single-lane batch engine — the ``--engine batch`` adapter.
-
-    Blocking streams run through the specialized kernels; non-blocking
-    streams (and reruns over warmed caches, which the kernels refuse)
-    fall back to the per-record :class:`FastReplayEngine` path, which is
-    already bit-identical.
-    """
-
-    def run(self, records: Iterable[TraceRecord]) -> SimResult:
-        if self.non_blocking or any(
-            c._stamp or c.stats.loads or c.stats.stores for c in self.caches
-        ):
-            return FastReplayEngine.run(self, records)
-        columns = decode_records(list(records), len(self.caches))
-        _run_lane(self, TracePartitions(columns))
-        return self.result()
-
-
-__all__ = ["Lane", "BatchReplayEngine", "replay_batch"]
+__all__ = ["Lane", "decode_source", "replay_batch", "run_lane"]

@@ -4,10 +4,12 @@ Each kernel advances one lane's :class:`~repro.fastsim.engine.FastL1DCache`
 through one SM's set-major partition (:mod:`repro.batchsim.decode`).
 Kernels are generated per (policy kind, associativity, knob flags) with
 the way loop unrolled into scalar locals, so the per-record cost is a
-handful of integer compares instead of list walks.  They are proven
-bit-identical to :func:`repro.fastsim.replay._replay_stream` by the
-differential suite in ``tests/batchsim``; the transformations they rely
-on are:
+handful of integer compares instead of list walks.  They are the packed
+tier's only blocking replay path — a solo ``--engine fast`` replay runs
+them as a one-lane batch — and their oracle is the reference engine,
+:class:`repro.trace.replay.ReplayEngine`: the differential suites in
+``tests/batchsim`` and ``tests/fastsim`` prove every lane bit-identical
+to it.  The transformations they rely on are:
 
 * **Set decomposition.**  Between sampling-window closes, accesses to
   different sets commute: PDPT/VTA credits are saturating increments,
@@ -32,7 +34,11 @@ on are:
   is observationally equivalent to the packed victim-tag array: probes
   consume (``pop``), re-inserting an existing block moves it to the
   tail, and evicting the first key is the LRU fallback, which the
-  array only reaches once every slot is valid.
+  array only reaches once every slot is valid.  At the end each dict
+  is written back to the set's leading VTA slots in LRU order with
+  stamps ``1..k``: every later insert stamps above the cache-global
+  insert count, so a rerun over the warmed cache evicts exactly the
+  entries the array would have.
 * **Derived counters.**  In blocking replay ``loads = hits + misses +
   bypasses``, ``fills = misses``, ``sent_fetches = misses + bypasses``,
   ``write_evicts = write_hits``, ``vta_probes = misses + bypasses +
@@ -309,6 +315,12 @@ def _build(kind: str, assoc: int, bypass_enabled: bool = False,
             emit(3, "gpd = cache._gpd")
 
     # -- writeback -----------------------------------------------------
+    if prot:
+        emit(1,
+             "vvalid = cache._vta_valid",
+             "vblk = cache._vta_blk",
+             "viid = cache._vta_iid",
+             "vlru = cache._vta_lru")
     emit(1, "for si in range(num_sets):")
     emit(2, f"base = si * {a}", f"{unpack} = state[si]")
     emit(2, f"blk[base:base + {a}] = ({', '.join(bs)},)")
@@ -320,6 +332,14 @@ def _build(kind: str, assoc: int, bypass_enabled: bool = False,
         emit(2, *(f"r{k} = d{k} - (t - s{k})" for k in ways))
         emit(2, f"pli[base:base + {a}] = "
                 f"({', '.join(f'r{k} if r{k} > 0 else 0' for k in ways)},)")
+        emit(2,
+             "j = si * vta_assoc",
+             "for rank, (vb, vi) in enumerate(vds[si].items(), 1):",
+             "    vvalid[j] = True",
+             "    vblk[j] = vb",
+             "    viid[j] = vi",
+             "    vlru[j] = rank",
+             "    j += 1")
     emit(1,
          "s = cache.stats",
          "s.loads += hits + misses + bypasses",

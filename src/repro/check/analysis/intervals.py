@@ -20,8 +20,8 @@ intra-procedural with depth-limited cross-module call summaries:
   clamp idiom ``x if x < m else m`` is evaluated per-arm, and loops run
   a two-pass join so facts established inside the body survive;
 * local aliases of the packed engine's arrays (``pdl = self._pdl``;
-  tuple unpacking included) are tracked, so the fast engine's fused
-  loops are analyzed against the same widths as the reference model;
+  tuple unpacking included) are tracked, so the fast engine's packed
+  code is analyzed against the same widths as the reference model;
 * calls to functions defined in the same module or imported from a
   sibling ``repro`` module are summarized (their return interval is
   computed from the callee's body, depth-limited); everything else is

@@ -163,9 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["reference", "fast", "batch"],
                          help="L1D implementation for uncached cells "
                               "(bit-identical results; store keys are "
-                              "engine-independent; 'batch' replays all "
-                              "of an app's schemes in one pass and "
-                              "requires --replay)")
+                              "engine-independent; with --replay, 'fast' "
+                              "replays all of an app's uncached cells in "
+                              "one batch pass; 'batch' is another "
+                              "spelling of 'fast')")
     p_sweep.add_argument("--non-blocking", action="store_true",
                          help="non-blocking L1D for every cell "
                               "(semantic switch: enters store keys)")
@@ -424,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: the trace's own)")
     t_rep.add_argument("--engine", default="reference",
                        choices=["reference", "fast", "batch"],
-                       help="replay engine (bit-identical results)")
+                       help="replay engine (bit-identical results; "
+                            "'batch' is another spelling of 'fast')")
     t_rep.add_argument("--non-blocking", action="store_true",
                        help="replay against the non-blocking L1D "
                             "(windowed fills; RESERVED lines survive "
@@ -575,10 +577,6 @@ def cmd_sweep(args) -> int:
             raise ValueError(
                 f"unknown scheme {scheme!r}; expected one of {sorted(SCHEME_LABELS)}"
             )
-    if args.engine == "batch" and not args.replay:
-        raise ValueError(
-            "--engine batch is a replay engine; add --replay"
-        )
     if getattr(args, "grid", None) and not args.replay:
         raise ValueError("--grid is a replay mode; add --replay")
     if args.replay:

@@ -8,6 +8,9 @@ Two interchangeable L1D engines exist:
 * ``fast`` — :class:`repro.fastsim.engine.FastL1DCache`, a packed
   struct-of-arrays engine with the four policies inlined.  Bit-identical
   to the reference (proven by ``tests/fastsim``), several times faster.
+  Its blocking trace replays run the generated batch kernels
+  (:mod:`repro.batchsim`) as one-lane batches.  ``batch`` is accepted
+  as another spelling of ``fast``.
 
 Because results are identical, the engine choice is an *execution*
 detail, never part of a result's identity: store keys and cell
@@ -36,6 +39,14 @@ DEFAULT_ENGINE = ENGINES[0]
 
 
 def validate_engine(engine: str) -> str:
+    """The canonical name of ``engine``; raises on an unknown one.
+
+    ``batch`` is accepted as a spelling of ``fast``: the packed tier has
+    one replay implementation, whose solo replays are one-lane batches,
+    and scripts written when the batch engine was selected separately
+    keep working."""
+    if engine == "batch":
+        return "fast"
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"

@@ -167,6 +167,9 @@ def profile_cell(
     ).run(iter(records))
     reference_seconds = wallclock.perf() - t0
 
+    # Untimed first run: a process's first fast replay also pays one-time
+    # costs (module imports, kernel code generation), not per-access work.
+    FastReplayEngine(config, factory).run(iter(records))
     t0 = wallclock.perf()
     fast = FastReplayEngine(config, factory).run(iter(records))
     fast_seconds = wallclock.perf() - t0

@@ -3,22 +3,20 @@
 :class:`FastReplayEngine` is the drop-in counterpart of
 :class:`repro.trace.replay.ReplayEngine` for ``--engine fast``: same
 record streams in, bit-identical :class:`~repro.gpu.simulator.SimResult`
-out.  It exploits the replay invariants the reference engine documents —
-fills are immediate, so no RESERVED line survives between accesses,
-pending-hit merges never occur, and the MSHR/miss queue never fill — to
-run one tight loop per SM with every counter and per-line array held in
-local variables, instead of building a ``MemAccess`` and walking the
-object-based protocol per record.
+out.
 
-The only stall that can occur under these invariants is
-``NO_RESERVABLE_LINE`` (a protection policy with bypass disabled and a
-fully protected set); it is retried in place with the same per-retry PL
-decay, VTA probe accounting and stall recording as the reference,
-bounded by :data:`repro.trace.replay.MAX_STALL_RETRIES`.
-
-Records for different SMs touch disjoint caches and policy state, so the
-engine buckets the stream per SM and replays each bucket monolithically;
-per-SM and aggregate results are unaffected by the interleaving.
+A blocking replay of a fresh engine is the one-lane case of the batch
+replay engine: the stream decodes to per-SM columns
+(:mod:`repro.batchsim.decode`, vectorized when the source is a
+:class:`~repro.trace.format.TraceReader`) and each SM's cache runs the
+generated kernel for its policy (:mod:`repro.batchsim.kernels`).  The
+kernels rely on the blocking-replay invariants the reference engine
+documents — fills are immediate, so no RESERVED line survives between
+accesses, pending-hit merges never occur and the MSHR/miss queue never
+fill.  Non-blocking replays, where those invariants do not hold, and
+reruns over already-warmed caches, which the kernels refuse, drive the
+packed caches record by record through the reference engine's protocol
+drivers instead.
 """
 
 from __future__ import annotations
@@ -26,22 +24,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List
 
-from repro.core.policy import StallReason
-from repro.fastsim.engine import (
-    INVALID,
-    KIND_DLP,
-    KIND_GLOBAL,
-    FastL1DCache,
-    PolicySpec,
-    VALID,
-)
+from repro.fastsim.engine import FastL1DCache, PolicySpec
 from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import SimResult
 from repro.trace.format import TraceRecord
-from repro.trace.replay import MAX_STALL_RETRIES, ReplayEngine, ReplayStallError
-from repro.utils.hashing import hash_pc
-
-_NO_LINE = StallReason.NO_RESERVABLE_LINE.value
+from repro.trace.replay import ReplayEngine
 
 
 class FastReplayEngine:
@@ -77,10 +64,10 @@ class FastReplayEngine:
         self._nb_outstanding = [deque() for _ in range(config.num_sms)]
         self._nb_seq: List[int] = [0] * config.num_sms
 
-    # Non-blocking replay reuses the reference engine's generic drivers
-    # verbatim (duck-typed: FastL1DCache exposes access/fill/miss_queue/
-    # stats) — the windowed-fill discipline then touches the packed
-    # protocol path exactly as it touches the reference one.
+    # Non-blocking replays and warmed reruns reuse the reference
+    # engine's generic drivers verbatim (duck-typed: FastL1DCache exposes
+    # access/fill/miss_queue/stats) — the per-record protocol then
+    # touches the packed caches exactly as it touches the reference ones.
     access = ReplayEngine.access
     _access_blocking = ReplayEngine._access_blocking
     _access_non_blocking = ReplayEngine._access_non_blocking
@@ -89,20 +76,14 @@ class FastReplayEngine:
     flush = ReplayEngine.flush
 
     def run(self, records: Iterable[TraceRecord]) -> SimResult:
-        if self.non_blocking:
-            # The fused per-SM loop below is a specialisation under the
-            # immediate-fill invariants (no RESERVED survivors, no
-            # merges, no resource stalls); those do not hold with fills
-            # in flight, so drive the packed caches record by record.
+        if self.non_blocking or any(
+            c._stamp or c.stats.loads or c.stats.stores for c in self.caches
+        ):
             return ReplayEngine.run(self, records)  # type: ignore[arg-type]
-        buckets: List[List[TraceRecord]] = [[] for _ in self.caches]
-        for record in records:
-            buckets[record[0]].append(record)
-        for sm_id, bucket in enumerate(buckets):
-            if bucket:
-                _replay_stream(self.caches[sm_id], bucket, self._insn_ids)
-            self.replayed_per_sm[sm_id] += len(bucket)
-            self.replayed_records += len(bucket)
+        # Imported lazily: repro.batchsim.engine builds on this module.
+        from repro.batchsim import engine as batch
+
+        batch.run_lane(self, batch.decode_source(records, self.config))
         return self.result()
 
     def result(self) -> SimResult:
@@ -116,323 +97,3 @@ class FastReplayEngine:
         # guaranteeing the assembled SimResult matches field for field.
         return ReplayEngine.result(self)  # type: ignore[arg-type]
 
-
-def _replay_stream(
-    cache: FastL1DCache,
-    records: List[TraceRecord],
-    insn_ids: Dict[int, int],
-) -> None:
-    """Replay one SM's record bucket through its packed cache.
-
-    The whole cache/policy state is aliased into locals for the duration
-    of the loop and written back at the end; the flow is the reference
-    protocol specialised under the immediate-fill invariants (no
-    RESERVED survivors, no merges, no resource stalls).
-    """
-    # -- per-line arrays and geometry ----------------------------------
-    st, blk, lru = cache._st, cache._blk, cache._lru
-    iid_arr, pli = cache._iid, cache._pli
-    assoc = cache._assoc
-    num_sets = cache._num_sets
-    mask = num_sets - 1
-    bits = mask.bit_length()
-    linear = cache.geometry.index_fn == "linear" or bits == 0
-    stamp = cache._stamp
-    # Reusable per-set way ranges (avoids one range() allocation per scan).
-    set_ways = [range(s * assoc, (s + 1) * assoc) for s in range(num_sets)]
-
-    kind = cache._kind
-    protected = cache._protected
-    bypass_enabled = cache._bypass_enabled
-    pl_max = cache._pl_max
-    sm_id = cache.sm_id
-
-    # -- VTA -----------------------------------------------------------
-    vta_assoc = cache._vta_assoc
-    vvalid, vblk, viid, vlru = (
-        cache._vta_valid, cache._vta_blk, cache._vta_iid, cache._vta_lru,
-    )
-    vta_ways = (
-        [range(s * vta_assoc, (s + 1) * vta_assoc) for s in range(num_sets)]
-        if protected else []
-    )
-    vstamp = cache._vta_stamp
-    vta_hits = cache._vta_hit_count
-    vta_inserts = cache._vta_insert_count
-    vta_probes = cache._vta_probe_count
-
-    # -- PDPT / Global-Protection / sampler ----------------------------
-    pdpt_n = cache._pdpt_n
-    pdt, pdv, pdl, pdu = cache._pdt, cache._pdv, cache._pdl, cache._pdu
-    tda_max, vta_max = cache._tda_hit_max, cache._vta_hit_max
-    g_tda, g_vta = cache._g_tda, cache._g_vta
-    gpd = cache._gpd
-    gp_tda, gp_vta = cache._gp_tda, cache._gp_vta
-    s_acc, acc_limit = cache._acc, cache._acc_limit
-    samples_completed = cache.samples_completed
-    closed_accesses = cache.closed_by["accesses"]
-    protected_bypasses = cache.protected_bypasses
-
-    # -- L1D counters --------------------------------------------------
-    s = cache.stats
-    loads, hits, misses, bypasses = s.loads, s.hits, s.misses, s.bypasses
-    stores, write_hits, write_misses = s.stores, s.write_hits, s.write_misses
-    write_evicts, evictions, fills = s.write_evicts, s.evictions, s.fills
-    sent_fetches, sent_writes = s.sent_fetches, s.sent_writes
-    stall_no_line = s.stalls.get(_NO_LINE, 0)
-
-    hash_pc_local = hash_pc
-
-    for record in records:
-        block = record[1]
-        pc = record[2]
-        insn = insn_ids.get(pc)
-        if insn is None:
-            insn = insn_ids[pc] = hash_pc_local(pc)
-
-        if linear:
-            si = block & mask
-        else:
-            addr = block
-            si = 0
-            while addr:
-                si ^= addr & mask
-                addr >>= bits
-        ways = set_ways[si]
-
-        if record[3]:
-            # -- write: write-through + write-evict, never stalls ------
-            # One fused pass: PL decay (the set query) + VALID-match scan
-            # (at most one way can match, so no early break is needed).
-            stores += 1
-            hitw = -1
-            if protected:
-                for w in ways:
-                    if pli[w]:
-                        pli[w] -= 1
-                    if blk[w] == block and st[w] == VALID:
-                        hitw = w
-            else:
-                for w in ways:
-                    if blk[w] == block and st[w] == VALID:
-                        hitw = w
-                        break
-            if hitw >= 0:
-                st[hitw] = INVALID
-                blk[hitw] = -1
-                pli[hitw] = 0
-                iid_arr[hitw] = 0
-                write_hits += 1
-                write_evicts += 1
-            else:
-                write_misses += 1
-            sent_writes += 1  # queued and drained immediately
-        else:
-            # -- load: fused find + PL decay (+ victim candidates) -----
-            # The reference decays every line in the set exactly once per
-            # attempt on both the hit and miss paths, before any grant or
-            # victim selection, so find/decay/candidate-scan fuse into a
-            # single pass; victim eligibility uses post-decay PLs.  Lines
-            # are never RESERVED between accesses, so any match is a hit.
-            way = -1
-            if protected:
-                inv = -1
-                cand = -1
-                cstamp = 0
-                for w in ways:
-                    p = pli[w]
-                    if p:
-                        p -= 1
-                        pli[w] = p
-                    if st[w] == INVALID:
-                        if inv < 0:
-                            inv = w
-                    else:
-                        if blk[w] == block:
-                            way = w
-                        if p == 0 and (cand < 0 or lru[w] < cstamp):
-                            cand = w
-                            cstamp = lru[w]
-            else:
-                for w in ways:
-                    if blk[w] == block and st[w] != INVALID:
-                        way = w
-                        break
-            if way >= 0:
-                loads += 1
-                hits += 1
-                if kind == KIND_DLP:
-                    i = iid_arr[way] % pdpt_n
-                    if pdt[i] < tda_max:
-                        pdt[i] += 1
-                    pdu[i] = True
-                    g_tda += 1
-                    # repro-check: allow(R006) insn comes from the insn_ids
-                    # memo, every value of which was produced by hash_pc and
-                    # is therefore already folded to 7 bits
-                    iid_arr[way] = insn
-                    pd = pdl[insn % pdpt_n]
-                    pli[way] = pd if pd < pl_max else pl_max
-                elif kind == KIND_GLOBAL:
-                    gp_tda += 1
-                    pli[way] = gpd
-                stamp += 1
-                lru[way] = stamp
-            else:
-                # -- miss: probe the VTA, pick a victim; retry on stall
-                retries = 0
-                if protected:
-                    victim = inv if inv >= 0 else cand
-                else:
-                    victim = -1
-                    for w in ways:
-                        if st[w] == INVALID:
-                            victim = w
-                            break
-                    if victim < 0:
-                        bstamp = 0
-                        for w in ways:
-                            if victim < 0 or lru[w] < bstamp:
-                                victim = w
-                                bstamp = lru[w]
-                while True:
-                    if protected:
-                        vta_probes += 1
-                        for j in vta_ways[si]:
-                            if vvalid[j] and vblk[j] == block:
-                                vvalid[j] = False
-                                vta_hits += 1
-                                if kind == KIND_DLP:
-                                    i = viid[j] % pdpt_n
-                                    if pdv[i] < vta_max:
-                                        pdv[i] += 1
-                                    pdu[i] = True
-                                    g_vta += 1
-                                else:
-                                    gp_vta += 1
-                                break
-                    if victim < 0:
-                        if bypass_enabled:
-                            # protected bypass: no re-query, no re-probe
-                            protected_bypasses += 1
-                            loads += 1
-                            bypasses += 1
-                            sent_fetches += 1
-                            break
-                        stall_no_line += 1
-                        retries += 1
-                        if retries > MAX_STALL_RETRIES:
-                            raise ReplayStallError(
-                                f"SM{sm_id} access to block {block:#x} "
-                                f"stalled {retries} times "
-                                f"({StallReason.NO_RESERVABLE_LINE}) "
-                                f"without converging"
-                            )
-                        # The blocked request re-queries the set: decay
-                        # again, then re-select (loop top re-probes, in
-                        # the reference's query -> probe -> select order).
-                        cand = -1
-                        cstamp = 0
-                        for w in ways:
-                            p = pli[w]
-                            if p:
-                                p -= 1
-                                pli[w] = p
-                            if p == 0 and (cand < 0 or lru[w] < cstamp):
-                                cand = w
-                                cstamp = lru[w]
-                        victim = cand
-                        continue
-                    # evict, reserve, then the immediate drain + fill
-                    if st[victim] == VALID:
-                        evictions += 1
-                        if protected:
-                            vstamp += 1
-                            evb = blk[victim]
-                            if linear:
-                                vsi = evb & mask
-                            else:
-                                addr = evb
-                                vsi = 0
-                                while addr:
-                                    vsi ^= addr & mask
-                                    addr >>= bits
-                            vways = vta_ways[vsi]
-                            slot = -1
-                            first_invalid = -1
-                            for j in vways:
-                                if vvalid[j] and vblk[j] == evb:
-                                    slot = j
-                                    break
-                                if first_invalid < 0 and not vvalid[j]:
-                                    first_invalid = j
-                            if slot < 0:
-                                slot = first_invalid
-                            if slot < 0:
-                                # LRU fallback, first-wins stamp ties
-                                bstamp = -1
-                                for j in vways:
-                                    if bstamp < 0 or vlru[j] < bstamp:
-                                        bstamp = vlru[j]
-                                        slot = j
-                            vvalid[slot] = True
-                            vblk[slot] = evb
-                            viid[slot] = iid_arr[victim]
-                            vlru[slot] = vstamp
-                            vta_inserts += 1
-                    blk[victim] = block
-                    # the fill copies pending->owner
-                    # repro-check: allow(R006) insn is a hash_pc-folded memo
-                    # value, already 7 bits (same invariant as the hit path)
-                    iid_arr[victim] = insn
-                    if kind == KIND_DLP:
-                        pd = pdl[insn % pdpt_n]
-                        pli[victim] = pd if pd < pl_max else pl_max
-                    elif kind == KIND_GLOBAL:
-                        pli[victim] = gpd
-                    else:
-                        pli[victim] = 0
-                    st[victim] = VALID
-                    stamp += 2  # one stamp at reserve, one at fill
-                    lru[victim] = stamp
-                    loads += 1
-                    misses += 1
-                    sent_fetches += 1
-                    fills += 1
-                    break
-
-        # -- on_access_done: sampling window (protection policies) -----
-        if protected:
-            s_acc += 1
-            if s_acc >= acc_limit:
-                samples_completed += 1
-                closed_accesses += 1
-                s_acc = 0
-                # Run the Figure 9 update through the engine's own
-                # end-of-sample path (cheap: once per 200 accesses).
-                cache._g_tda, cache._g_vta = g_tda, g_vta
-                cache._gp_tda, cache._gp_vta = gp_tda, gp_vta
-                cache._gpd = gpd
-                cache._end_sample()
-                g_tda = g_vta = gp_tda = gp_vta = 0
-                gpd = cache._gpd
-
-    # -- write the locals back -----------------------------------------
-    cache._stamp = stamp
-    cache._vta_stamp = vstamp
-    cache._vta_hit_count = vta_hits
-    cache._vta_insert_count = vta_inserts
-    cache._vta_probe_count = vta_probes
-    cache._g_tda, cache._g_vta = g_tda, g_vta
-    cache._gpd = gpd
-    cache._gp_tda, cache._gp_vta = gp_tda, gp_vta
-    cache._acc = s_acc
-    cache.samples_completed = samples_completed
-    cache.closed_by["accesses"] = closed_accesses
-    cache.protected_bypasses = protected_bypasses
-    s.loads, s.hits, s.misses, s.bypasses = loads, hits, misses, bypasses
-    s.stores, s.write_hits, s.write_misses = stores, write_hits, write_misses
-    s.write_evicts, s.evictions, s.fills = write_evicts, evictions, fills
-    s.sent_fetches, s.sent_writes = sent_fetches, sent_writes
-    if stall_no_line:
-        s.stalls[_NO_LINE] = stall_no_line

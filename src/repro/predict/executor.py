@@ -32,6 +32,7 @@ from repro.predict.profile import (
     profile_trace,
     workload_insns,
 )
+from repro.trace.sweep import TraceStore
 
 _UNSET = object()
 
@@ -65,8 +66,8 @@ class PredictSweepExecutor:
         model, ``None`` for the raw model, or omitted for the packaged
         default table.
     trace_dir:
-        Optional directory of recorded ``.rptr`` traces (the replay
-        tier's :class:`~repro.trace.sweep.TraceStore` layout).  When a
+        Optional directory of recorded ``.rptr`` traces, read through
+        the replay tier's :class:`~repro.trace.sweep.TraceStore`.  When a
         cell's stream is already recorded there, the profile is built
         from the trace instead of re-capturing the workload.
     """
@@ -78,7 +79,7 @@ class PredictSweepExecutor:
         self.calibration: Optional[Calibration] = (
             default_calibration() if calibration is _UNSET else calibration
         )
-        self.trace_dir = Path(trace_dir) if trace_dir is not None else None
+        self.traces = TraceStore(trace_dir) if trace_dir is not None else None
         self._profiles: Dict[str, PredictProfile] = {}
         # A prediction is a pure function of (stream, scheme, geometry,
         # policy kwargs), so repeated cells — the serve tier-0 steady
@@ -100,9 +101,9 @@ class PredictSweepExecutor:
         if profile is not None:
             self.stats.profile_hits += 1
             return profile
-        trace_path = (self.trace_dir / f"{key}.rptr"
-                      if self.trace_dir is not None else None)
-        if trace_path is not None and trace_path.exists():
+        trace_path = (self.traces.find(abbr, config, scale, seed)
+                      if self.traces is not None else None)
+        if trace_path is not None:
             from repro.trace.format import TraceReader
 
             profile = profile_trace(TraceReader(trace_path), config)

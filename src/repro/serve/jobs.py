@@ -13,8 +13,8 @@ Worker entry points:
 * timing units reuse :func:`repro.experiments.executor.simulate_cell`
   directly (same function the sweep executor ships to its pool);
 * replay units run :func:`replay_unit`, which captures the workload's
-  access stream (record-once through an optional shared trace
-  directory, atomically published) and drives the replay engine;
+  access stream (record-once through an optional shared
+  :class:`~repro.trace.sweep.TraceStore`) and drives the replay engine;
 * tier-0 analytical answers come from :func:`predict_unit`, which keeps
   one profile-caching :class:`~repro.predict.executor.
   PredictSweepExecutor` alive per worker process, so repeat predictions
@@ -23,9 +23,7 @@ Worker entry points:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.gpu.config import GPUConfig
@@ -101,15 +99,13 @@ def replay_unit(spec: Dict[str, Any],
 
     With a ``trace_dir``, the workload's stream is recorded at most
     once per stream key and shared with every other scheme (and with
-    the ``repro trace``/``repro sweep --replay`` verbs).  The recording
-    is staged in a tmp file and ``os.replace``d into place, so two
-    workers racing to capture the same stream at worst record it twice
-    — a reader never observes a torn trace.
+    the ``repro trace``/``repro sweep --replay`` verbs) through
+    :class:`~repro.trace.sweep.TraceStore`, whose atomic recording
+    means a reader never observes a torn trace.
     """
-    from repro.experiments.store import trace_key
-    from repro.trace.format import TraceReader
-    from repro.trace.record import capture_records, record_workload
+    from repro.trace.record import capture_records
     from repro.trace.replay import replay_records, replay_trace
+    from repro.trace.sweep import TraceStore
     from repro.workloads import make_workload
 
     abbr = spec["abbr"]
@@ -128,23 +124,9 @@ def replay_unit(spec: Dict[str, Any],
     )
 
     if trace_dir:
-        root = Path(trace_dir)
-        root.mkdir(parents=True, exist_ok=True)
-        key = trace_key(abbr, config, scale=scale, seed=seed)
-        path = root / f"{key}.rptr"
-        if not path.exists():
-            tmp = root / f"{key}.tmp.{os.getpid()}"
-            try:
-                record_workload(make_workload(abbr, scale, seed=seed),
-                                config, tmp)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
-                raise
-        result = replay_trace(TraceReader(path), scheme, replay_config,
+        reader, _ = TraceStore(trace_dir).get_or_record(
+            abbr, config, scale, seed)
+        result = replay_trace(reader, scheme, replay_config,
                               engine=engine, **kwargs)
     else:
         records = capture_records(make_workload(abbr, scale, seed=seed),

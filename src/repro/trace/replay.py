@@ -35,6 +35,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 from repro.cache.l1d import L1DCache, L1DStats, MemAccess
 from repro.core import make_policy
 from repro.core.policy import CachePolicy
+from repro.fastsim import validate_engine
 from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import SimResult
 from repro.trace.format import TraceFormatError, TraceReader, TraceRecord
@@ -278,23 +279,28 @@ def _resolve(scheme: Union[str, CachePolicy, None], config: GPUConfig,
 
 def _make_engine(engine: str, config: GPUConfig, factory) -> "ReplayEngine":
     """Build the selected replay engine (both share run()/result())."""
-    if engine == "fast":
+    if validate_engine(engine) == "fast":
         # Imported lazily: repro.fastsim.replay imports this module.
         from repro.fastsim.replay import FastReplayEngine
 
         return FastReplayEngine(config, factory)  # type: ignore[return-value]
-    if engine == "batch":
-        # Imported lazily for the same reason (batchsim builds on both
-        # this module and repro.fastsim.replay).
-        from repro.batchsim.engine import BatchReplayEngine
-
-        return BatchReplayEngine(config, factory)  # type: ignore[return-value]
-    if engine != "reference":
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'reference', 'fast', "
-            f"or 'batch'"
-        )
     return ReplayEngine(config, factory)
+
+
+def check_trace_fits(reader: TraceReader, config: GPUConfig) -> None:
+    """Reject a machine the trace cannot replay on: fewer SMs than SM
+    streams, or a different line size (block addresses are
+    line-granular)."""
+    if config.num_sms < reader.num_sms:
+        raise ValueError(
+            f"trace has {reader.num_sms} SM streams but config provides "
+            f"only {config.num_sms} SMs"
+        )
+    if config.l1d.line_size != reader.line_size:
+        raise ValueError(
+            f"line-size mismatch: trace recorded at {reader.line_size} B, "
+            f"config uses {config.l1d.line_size} B"
+        )
 
 
 def replay_records(
@@ -325,19 +331,12 @@ def replay_trace(
     reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
     if config is None:
         config = GPUConfig().scaled(reader.num_sms)
-    if config.num_sms < reader.num_sms:
-        raise ValueError(
-            f"trace has {reader.num_sms} SM streams but config provides "
-            f"only {config.num_sms} SMs"
-        )
-    if config.l1d.line_size != reader.line_size:
-        raise ValueError(
-            f"line-size mismatch: trace recorded at {reader.line_size} B, "
-            f"config uses {config.l1d.line_size} B"
-        )
+    check_trace_fits(reader, config)
     config, factory = _resolve(scheme, config, **policy_kwargs)
     replay_engine = _make_engine(engine, config, factory)
-    result = replay_engine.run(iter(reader))
+    # The reader itself, not an iterator over it: the fast engine
+    # decodes a whole trace vectorized.
+    result = replay_engine.run(reader)
     replayed = replay_engine.replayed_per_sm[: reader.num_sms]
     if replayed != reader.records_per_sm:
         bad = [

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 if TYPE_CHECKING:  # pragma: no cover — typing only (lazy at runtime)
     from repro.batchsim.grid import GridAxis
@@ -32,11 +32,12 @@ from repro.experiments.store import (
     replay_cell_key,
     trace_key,
 )
+from repro.fastsim import validate_engine
 from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import SimResult
 from repro.trace.format import TraceReader
 from repro.trace.record import record_workload
-from repro.trace.replay import replay_trace
+from repro.trace.replay import replay_records, replay_trace
 from repro.workloads import make_workload
 
 
@@ -45,7 +46,7 @@ class ReplaySweepStats:
     """What the replay sweep actually did (the acceptance counters)."""
 
     recorded: int = 0      # traces captured this run
-    trace_hits: int = 0    # traces found already on disk
+    trace_hits: int = 0    # missing cells served by an earlier capture
     replayed: int = 0      # cells driven through the replay engine
     store_hits: int = 0    # cells resolved from the result store
 
@@ -59,17 +60,42 @@ class ReplaySweepStats:
 
 
 class TraceStore:
-    """Directory of recorded traces, content-addressed by stream key."""
+    """Directory of recorded traces, content-addressed by stream key.
 
-    def __init__(self, root) -> None:
+    The one owner of the ``{key}.rptr`` layout: the replay sweep, the
+    serve replay worker and the prediction tier all find (and the first
+    two record) streams through it.  Recording is atomic —
+    :meth:`TraceWriter.close <repro.trace.format.TraceWriter.close>`
+    writes a tmp file and renames it into place — so two processes
+    racing to capture one stream at worst record it twice, and a reader
+    never observes a torn trace.
+    """
+
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.rptr"
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()
+
+    def find(self, abbr: str, config: GPUConfig, scale: float,
+             seed: int) -> Optional[Path]:
+        """The recorded trace of this workload stream, if there is one."""
+        path = self.path_for(trace_key(abbr, config, scale=scale, seed=seed))
+        return path if path.exists() else None
+
+    def get_or_record(self, abbr: str, config: GPUConfig, scale: float,
+                      seed: int) -> Tuple[TraceReader, bool]:
+        """The stream's trace, recorded first if absent; returns
+        ``(reader, recorded)``."""
+        path = self.path_for(trace_key(abbr, config, scale=scale, seed=seed))
+        recorded = not path.exists()
+        if recorded:
+            record_workload(make_workload(abbr, scale, seed=seed),
+                            config, path)
+        return TraceReader(path), recorded
 
     def ls(self) -> List[Dict[str, object]]:
         entries = []
@@ -93,6 +119,13 @@ class TraceStore:
 class ReplaySweepExecutor:
     """Resolve an experiment grid via record-once / replay-per-scheme.
 
+    Every entry point resolves its cells through one path: store lookups
+    first, then one record-once trace per app for the misses, then the
+    missing cells — as lanes of one
+    :func:`~repro.batchsim.engine.replay_batch` pass under the packed
+    engine, one by one under the reference engine.  Either way the store
+    ends up byte-identical: same keys, same meta, same results.
+
     Parameters
     ----------
     store:
@@ -105,10 +138,11 @@ class ReplaySweepExecutor:
         directory to persist traces in the binary format and share them
         across invocations and with the ``repro trace`` verbs.
     engine:
-        L1D implementation used for replays (``reference`` or ``fast``).
-        The engines are bit-identical, so the choice never enters trace
-        keys or replay-result store keys — results computed by either
-        resolve the same entries.
+        L1D implementation used for replays (``reference`` or ``fast``;
+        ``batch`` is another spelling of ``fast``).  The engines are
+        bit-identical, so the choice never enters trace keys or
+        replay-result store keys — results computed by either resolve
+        the same entries.
     """
 
     def __init__(self, store=None, trace_dir=None,
@@ -118,7 +152,7 @@ class ReplaySweepExecutor:
         self.traces = TraceStore(trace_dir) if trace_dir is not None else None
         self._memory_traces: Dict[str, List] = {}
         self.config = config
-        self.engine = engine
+        self.engine = validate_engine(engine)
         self.stats = ReplaySweepStats()
 
     # ------------------------------------------------------------------
@@ -128,30 +162,26 @@ class ReplaySweepExecutor:
             else GPUConfig().scaled(num_sms)
 
     def _get_or_record(self, abbr: str, config: GPUConfig,
-                       scale: float, seed: int):
+                       scale: float, seed: int, uses: int):
         """Return something replayable for this stream, capturing it at
-        most once per key."""
-        key = trace_key(abbr, config, scale=scale, seed=seed)
+        most once per key.  ``uses`` missing cells will replay it; each
+        one the capture did not serve counts as a trace hit."""
         if self.traces is not None:
-            path = self.traces.path_for(key)
-            if path.exists():
-                self.stats.trace_hits += 1
-            else:
-                workload = make_workload(abbr, scale, seed=seed)
-                record_workload(workload, config, path)
-                self.stats.recorded += 1
-            return TraceReader(path)
-        records = self._memory_traces.get(key)
-        if records is not None:
-            self.stats.trace_hits += 1
+            source, recorded = self.traces.get_or_record(
+                abbr, config, scale, seed)
         else:
-            from repro.trace.record import capture_records
+            key = trace_key(abbr, config, scale=scale, seed=seed)
+            source = self._memory_traces.get(key)
+            recorded = source is None
+            if source is None:
+                from repro.trace.record import capture_records
 
-            workload = make_workload(abbr, scale, seed=seed)
-            records = capture_records(workload, config)
-            self._memory_traces[key] = records
-            self.stats.recorded += 1
-        return records
+                source = capture_records(
+                    make_workload(abbr, scale, seed=seed), config)
+                self._memory_traces[key] = source
+        self.stats.recorded += int(recorded)
+        self.stats.trace_hits += uses - int(recorded)
+        return source
 
     def _cell_meta(self, abbr: str, scheme: str, config: GPUConfig,
                    scale: float, seed: int) -> Dict[str, object]:
@@ -163,58 +193,19 @@ class ReplaySweepExecutor:
             meta["non_blocking"] = True
         return meta
 
-    def run_cell(
+    def _resolve_cells(
         self,
         abbr: str,
-        scheme: str,
-        num_sms: int = 4,
-        scale: float = 1.0,
-        seed: int = 0,
-        **policy_kwargs,
-    ) -> SimResult:
-        abbr = abbr.upper()
-        config = self._resolved_config(num_sms)
-        key = replay_cell_key(
-            abbr, scheme, config, scale=scale, seed=seed,
-            policy_kwargs=policy_kwargs,
-        )
-        cached = self.store.get(key)
-        if cached is not None:
-            self.stats.store_hits += 1
-            return cached
-        source = self._get_or_record(abbr, config, scale, seed)
-        if isinstance(source, TraceReader):
-            result = replay_trace(source, scheme, config,
-                                  engine=self.engine, **policy_kwargs)
-        else:
-            from repro.trace.replay import replay_records
-
-            result = replay_records(iter(source), config, scheme,
-                                    engine=self.engine, **policy_kwargs)
-        self.stats.replayed += 1
-        self.store.put(key, result,
-                       meta=self._cell_meta(abbr, scheme, config, scale, seed))
-        return result
-
-    def _run_cells_batched(
-        self,
-        abbr: str,
-        cells: Sequence[tuple],
+        cells: Sequence[Tuple[str, Dict[str, Any]]],
         num_sms: int,
         scale: float,
         seed: int,
     ) -> List[SimResult]:
-        """Resolve many (scheme, policy_kwargs) cells of one app through
-        one :func:`~repro.batchsim.engine.replay_batch` pass.
-
-        Store interaction is cell-for-cell identical to
-        :meth:`run_cell`: same keys, same meta, same results — a batch
-        sweep's store is byte-identical to the serial executor's, only
-        the accounting (one decode, N lanes) differs.
-        """
+        """Resolve one app's (scheme, policy_kwargs) cells, in order."""
+        abbr = abbr.upper()
         config = self._resolved_config(num_sms)
-        results: Dict[int, SimResult] = {}
-        missing: List[tuple] = []
+        results: List[Optional[SimResult]] = [None] * len(cells)
+        missing: List[Tuple[int, str, str, Dict[str, Any]]] = []
         for idx, (scheme, policy_kwargs) in enumerate(cells):
             key = replay_cell_key(
                 abbr, scheme, config, scale=scale, seed=seed,
@@ -227,19 +218,44 @@ class ReplaySweepExecutor:
             else:
                 missing.append((idx, key, scheme, policy_kwargs))
         if missing:
-            from repro.batchsim.engine import replay_batch
-
-            source = self._get_or_record(abbr, config, scale, seed)
+            source = self._get_or_record(abbr, config, scale, seed,
+                                         len(missing))
             lanes = [(scheme, kwargs) for _, _, scheme, kwargs in missing]
-            replayed = replay_batch(source, lanes, config)
-            self.stats.replayed += len(lanes)
+            if self.engine == "reference":
+                replayed = [self._replay_reference(source, config, scheme,
+                                                   kwargs)
+                            for scheme, kwargs in lanes]
+            else:
+                from repro.batchsim.engine import replay_batch
+
+                replayed = replay_batch(source, lanes, config)
+            self.stats.replayed += len(missing)
             for (idx, key, scheme, _), result in zip(missing, replayed):
                 self.store.put(
                     key, result,
                     meta=self._cell_meta(abbr, scheme, config, scale, seed),
                 )
                 results[idx] = result
-        return [results[idx] for idx in range(len(cells))]
+        return cast(List[SimResult], results)
+
+    @staticmethod
+    def _replay_reference(source, config: GPUConfig, scheme: str,
+                          policy_kwargs: Dict[str, Any]) -> SimResult:
+        if isinstance(source, TraceReader):
+            return replay_trace(source, scheme, config, **policy_kwargs)
+        return replay_records(iter(source), config, scheme, **policy_kwargs)
+
+    def run_cell(
+        self,
+        abbr: str,
+        scheme: str,
+        num_sms: int = 4,
+        scale: float = 1.0,
+        seed: int = 0,
+        **policy_kwargs,
+    ) -> SimResult:
+        return self._resolve_cells(abbr, [(scheme, policy_kwargs)],
+                                   num_sms, scale, seed)[0]
 
     def run_sweep(
         self,
@@ -253,29 +269,12 @@ class ReplaySweepExecutor:
         """The full app x scheme matrix as ``{app: {scheme: result}}``.
 
         Iteration is app-major so each app's trace is captured exactly
-        once and immediately reused by every scheme.  Under
-        ``engine="batch"`` each app's uncached schemes replay as lanes
-        of a single batch pass (one decode, shared set partitions)."""
-        if self.engine == "batch":
-            return {
-                app.upper(): dict(zip(
-                    schemes,
-                    self._run_cells_batched(
-                        app.upper(),
-                        [(scheme, dict(policy_kwargs)) for scheme in schemes],
-                        num_sms, scale, seed,
-                    ),
-                ))
-                for app in apps
-            }
+        once and immediately reused by every scheme."""
         return {
-            app.upper(): {
-                scheme: self.run_cell(
-                    app, scheme, num_sms=num_sms, scale=scale, seed=seed,
-                    **policy_kwargs,
-                )
-                for scheme in schemes
-            }
+            app.upper(): dict(zip(schemes, self._resolve_cells(
+                app, [(scheme, dict(policy_kwargs)) for scheme in schemes],
+                num_sms, scale, seed,
+            )))
             for app in apps
         }
 
@@ -294,24 +293,13 @@ class ReplaySweepExecutor:
 
         Every grid point stores under its own replay cell key (the
         policy kwargs enter the key), so grids warm-cache incrementally
-        and across engines.  Under ``engine="batch"`` all uncached
-        points replay as lanes of one batch pass; other engines fall
-        back to one :meth:`run_cell` per point.
+        and across engines.
         """
         from repro.batchsim.grid import cell_label, expand_grid
 
-        abbr = app.upper()
         combos = expand_grid(list(axes))
         cells = [(scheme, {**base_kwargs, **combo}) for combo in combos]
-        if self.engine == "batch":
-            replayed = self._run_cells_batched(
-                abbr, cells, num_sms, scale, seed)
-        else:
-            replayed = [
-                self.run_cell(abbr, scheme, num_sms=num_sms, scale=scale,
-                              seed=seed, **kwargs)
-                for scheme, kwargs in cells
-            ]
+        replayed = self._resolve_cells(app, cells, num_sms, scale, seed)
         return {
             cell_label(combo): result
             for combo, result in zip(combos, replayed)

@@ -1,12 +1,14 @@
-"""The batch engine is bit-identical to fastsim, lane for lane.
+"""The batch kernels are bit-identical to the reference engine, lane
+for lane.
 
-Every test replays the same stream through ``engine="fast"`` (itself
-proven bit-identical to the reference engine) and through the batch
-path — the single-lane ``--engine batch`` adapter or the multi-lane
-:func:`~repro.batchsim.engine.replay_batch` front door — and requires
-identical results via the canonical-JSON oracle.  The grid is the full
-17-cell ablation matrix the fastsim differential suite uses, plus
-adversarial synthetic streams (thrash, write storms, fuzzed mixes)
+Every test replays the same stream through ``engine="reference"`` (the
+per-object model, the semantic source of truth) and through the batch
+kernels — a solo ``--engine fast`` replay (spelled ``batch`` here, the
+alias the CLI keeps), which runs them as a one-lane batch, or the
+multi-lane :func:`~repro.batchsim.engine.replay_batch` front door — and
+requires identical results via the canonical-JSON oracle.  The grid is
+the full 17-cell ablation matrix the fastsim differential suite uses,
+plus adversarial synthetic streams (thrash, write storms, fuzzed mixes)
 so the equivalence is not an artifact of the captured workloads.
 """
 
@@ -121,18 +123,18 @@ ADVERSARIAL = {
 
 
 # ----------------------------------------------------------------------
-# single-lane adapter (--engine batch)
+# solo replays (--engine batch, a spelling of --engine fast)
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize(
     "scheme,kwargs", ABLATIONS, ids=map(_label, ABLATIONS))
 def test_single_lane_identical(captured, scheme, kwargs):
     config, records = captured
-    fast = replay_records(iter(records), config, scheme,
-                          engine="fast", **kwargs)
+    reference = replay_records(iter(records), config, scheme,
+                               engine="reference", **kwargs)
     batch = replay_records(iter(records), config, scheme,
                            engine="batch", **kwargs)
-    assert_results_identical(fast, batch, label=f"{scheme}/{kwargs}")
+    assert_results_identical(reference, batch, label=f"{scheme}/{kwargs}")
 
 
 def test_trace_file_replay_identical(captured, tmp_path):
@@ -142,9 +144,10 @@ def test_trace_file_replay_identical(captured, tmp_path):
     path = tmp_path / "mm.rptr"
     record_workload(make_workload("MM", 0.4), config, path)
     for scheme, kwargs in (("dlp", {}), ("global_protection", {"nasc": 0})):
-        fast = replay_trace(path, scheme, config, engine="fast", **kwargs)
+        reference = replay_trace(path, scheme, config, engine="reference",
+                                 **kwargs)
         batch = replay_trace(path, scheme, config, engine="batch", **kwargs)
-        assert_results_identical(fast, batch, label=f"trace/{scheme}")
+        assert_results_identical(reference, batch, label=f"trace/{scheme}")
 
 
 def test_unknown_engine_still_rejected(captured):
@@ -155,16 +158,36 @@ def test_unknown_engine_still_rejected(captured):
 
 def test_warmed_cache_falls_back(captured):
     """The kernels require a fresh cache; a second run() on the same
-    engine must fall back to the per-record path, not corrupt state."""
-    from repro.batchsim.engine import BatchReplayEngine
-    from repro.trace.replay import _resolve
+    engine must fall back to the per-record path, not corrupt state:
+    its result equals the reference engine's second run."""
+    from repro.fastsim.replay import FastReplayEngine
+    from repro.trace.replay import ReplayEngine, _resolve
 
     config, records = captured
     lane_config, factory = _resolve("dlp", config)
-    engine = BatchReplayEngine(lane_config, factory)
+    engine = FastReplayEngine(lane_config, factory)
+    reference = ReplayEngine(lane_config, factory)
     engine.run(iter(records))
+    reference.run(iter(records))
     second = engine.run(iter(records))  # warmed: per-record fallback
-    assert second.to_dict()  # completed without tripping the guard
+    assert_results_identical(reference.run(iter(records)), second,
+                             label="warmed/second-run")
+
+
+@pytest.mark.parametrize("engine",
+                         ["reference", "fast", "batch", "replay_batch"])
+def test_four_field_records_default_warp_zero(engine):
+    """``(sm, block, pc, is_write)`` tuples without a warp id replay on
+    every engine exactly like the same records with warp 0."""
+    config = GPUConfig().scaled(2)
+    full = ADVERSARIAL["fuzz-0"]
+    short = [(r.sm_id, r.block_addr, r.pc, r.is_write) for r in full]
+    want = replay_records(iter(full), config, "dlp", engine="reference")
+    if engine == "replay_batch":
+        [got] = replay_batch(short, [("dlp", {})], config)
+    else:
+        got = replay_records(iter(short), config, "dlp", engine=engine)
+    assert_results_identical(want, got, label=f"4-field/{engine}")
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +196,7 @@ def test_warmed_cache_falls_back(captured):
 
 def test_multi_lane_grid_identical(captured):
     """All 17 ablation cells through ONE replay_batch pass, each lane
-    field-for-field identical to its solo fast replay — including the
+    field-for-field identical to its solo reference replay — including the
     deduplicated lanes (baseline vs stall_bypass, insn_sample_limit)
     that are served by a state copy rather than a kernel run."""
     config, records = captured
@@ -181,7 +204,7 @@ def test_multi_lane_grid_identical(captured):
     assert len(batched) == len(ABLATIONS)
     for (scheme, kwargs), result in zip(ABLATIONS, batched):
         solo = replay_records(iter(records), config, scheme,
-                              engine="fast", **kwargs)
+                              engine="reference", **kwargs)
         assert_results_identical(solo, result, label=_label((scheme, kwargs)))
 
 
@@ -199,7 +222,7 @@ def test_adversarial_streams_identical(name):
     batched = replay_batch(records, lanes, config)
     for (scheme, kwargs), result in zip(lanes, batched):
         solo = replay_records(iter(records), config, scheme,
-                              engine="fast", **kwargs)
+                              engine="reference", **kwargs)
         assert_results_identical(
             solo, result, label=f"{name}/{_label((scheme, kwargs))}")
 
@@ -210,7 +233,7 @@ def test_lane_order_is_preserved(captured):
     batched = replay_batch(records, lanes, config)
     for (scheme, kwargs), result in zip(lanes, batched):
         solo = replay_records(iter(records), config, scheme,
-                              engine="fast", **kwargs)
+                              engine="reference", **kwargs)
         assert_results_identical(solo, result, label=f"order/{scheme}")
 
 
@@ -222,7 +245,7 @@ def test_resized_lanes_share_the_pass(captured):
     batched = replay_batch(records, lanes, config)
     for (scheme, kwargs), result in zip(lanes, batched):
         solo = replay_records(iter(records), config, scheme,
-                              engine="fast", **kwargs)
+                              engine="reference", **kwargs)
         assert_results_identical(solo, result, label=f"resize/{scheme}")
 
 
@@ -237,7 +260,7 @@ def test_more_sms_than_trace(captured, tmp_path):
     wide = GPUConfig().scaled(4)
     reader = TraceReader(path)
     batched = replay_batch(reader, [("dlp", {})], wide)
-    solo = replay_trace(TraceReader(path), "dlp", wide, engine="fast")
+    solo = replay_trace(TraceReader(path), "dlp", wide, engine="reference")
     assert_results_identical(solo, batched[0], label="padded-sms")
 
 
@@ -269,7 +292,7 @@ class TestNonBlockingLanes:
         batched = replay_batch(records, lanes, nb_config)
         for (scheme, kwargs), result in zip(lanes, batched):
             solo = replay_records(iter(records), nb_config, scheme,
-                                  engine="fast", **kwargs)
+                                  engine="reference", **kwargs)
             assert_results_identical(solo, result, label=f"nb/{scheme}")
 
     def test_nb_lane_isolation_under_duplicates(self, captured):
@@ -281,7 +304,7 @@ class TestNonBlockingLanes:
         lanes = [("dlp", {}), ("dlp", {})]
         first, second = replay_batch(records, lanes, nb_config)
         solo = replay_records(iter(records), nb_config, "dlp",
-                              engine="fast")
+                              engine="reference")
         assert_results_identical(solo, first, label="nb-dup/first")
         assert_results_identical(solo, second, label="nb-dup/second")
 
@@ -295,5 +318,5 @@ class TestNonBlockingLanes:
         batched = replay_batch(records, lanes, config)
         for (scheme, kwargs), result in zip(lanes, batched):
             solo = replay_records(iter(records), config, scheme,
-                                  engine="fast", **kwargs)
+                                  engine="reference", **kwargs)
             assert_results_identical(solo, result, label=f"mixed/{scheme}")
