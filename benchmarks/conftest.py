@@ -18,6 +18,7 @@ Run with::
 from __future__ import annotations
 
 import os
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -33,6 +34,18 @@ def pytest_configure(config):
     )
     jobs = int(os.environ.get("REPRO_JOBS", "1"))
     runner.configure(store=store_dir, jobs=jobs)
+
+
+def timed(fn, repeats=3):
+    """Median-of-``repeats`` wall clock of ``fn()`` and its last value:
+    single-shot replay timings jitter with host noise."""
+    times, value = [], None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        value = fn()
+        times.append(time.perf_counter() - t0)
+    times.sort()
+    return times[len(times) // 2], value
 
 
 def bench_once(benchmark, fn):

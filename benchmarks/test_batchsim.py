@@ -24,7 +24,7 @@ import json
 import time
 from pathlib import Path
 
-from conftest import bench_once
+from conftest import bench_once, timed
 
 from repro.analysis import ascii_table
 from repro.batchsim.engine import replay_batch
@@ -75,16 +75,6 @@ def collect(trace_path):
     # warm both code paths (bytecode, kernel codegen, numpy imports)
     replay_trace(TraceReader(trace_path), "dlp", config, engine="fast")
     replay_batch(TraceReader(trace_path), ABLATIONS[:2], config)
-
-    def timed(fn, repeats=3):
-        """Median-of-N wall clock (single-shot replay timings jitter)."""
-        times, value = [], None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            value = fn()
-            times.append(time.perf_counter() - t0)
-        times.sort()
-        return times[len(times) // 2], value
 
     cell_s, _ = timed(lambda: replay_trace(
         TraceReader(trace_path), "dlp", config, engine="fast"))

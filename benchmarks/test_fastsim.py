@@ -4,6 +4,8 @@ The fast engine's contract is "bit-identical, >=5x faster per access".
 This bench replays the same captured streams through both engines under
 every scheme, asserts the results identical and the speedup floor, and
 writes ``benchmarks/BENCH_fastsim.json`` with the measured numbers.
+Each replay is timed as the median of three runs, so one noisy run on a
+shared host does not decide the floor.
 
 Per-scheme per-access cost is the honest unit here: the reference
 engine's cost scales with policy complexity (hook dispatch, PL decay
@@ -13,10 +15,9 @@ object walks), the fast engine's barely does.
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
-from conftest import bench_once
+from conftest import bench_once, timed
 
 from repro.analysis import ascii_table
 from repro.experiments.runner import harness_config
@@ -37,9 +38,8 @@ BENCH_JSON = Path(__file__).parent / "BENCH_fastsim.json"
 
 
 def _time_replay(records, config, scheme, engine):
-    t0 = time.perf_counter()
-    result = replay_records(iter(records), config, scheme, engine=engine)
-    return time.perf_counter() - t0, result
+    return timed(lambda: replay_records(iter(records), config, scheme,
+                                        engine=engine))
 
 
 def collect():

@@ -18,8 +18,8 @@ the reference engine (:class:`~repro.trace.replay.ReplayEngine`), the
 oracle of the differential suites in ``tests/batchsim`` and
 ``tests/fastsim``.  Non-blocking mode has no batch specialization —
 fills in flight break the per-window set decomposition — so NB lanes
-run the ordinary per-record engine, one private engine per lane (no
-cross-lane state by construction).
+run the reference engine, one private engine per lane (no cross-lane
+state by construction).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.fastsim.replay import FastReplayEngine
 from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import SimResult
 from repro.trace.format import TraceReader, TraceRecord
-from repro.trace.replay import _resolve, check_trace_fits
+from repro.trace.replay import ReplayEngine, _resolve, check_trace_fits
 
 from repro.batchsim.decode import (
     TracePartitions,
@@ -46,16 +46,15 @@ from repro.batchsim.kernels import DLP, GLOBAL, UNPROTECTED, get_kernel, kernel_
 Lane = Tuple[Union[str, Any], Dict[str, Any]]
 
 _COPY_INTS = (
-    "_stamp", "_acc", "_ins", "samples_completed", "protected_bypasses",
-    "_vta_hit_count", "_vta_insert_count", "_vta_probe_count", "_vta_stamp",
+    "_stamp", "samples_completed", "protected_bypasses",
+    "_vta_hit_count", "_vta_insert_count", "_vta_stamp",
     "_g_tda", "_g_vta", "_gpd", "_gp_tda", "_gp_vta",
 )
 _COPY_LISTS = (
-    "_st", "_blk", "_lru", "_iid", "_pli", "_pnd",
+    "_st", "_blk", "_lru", "_iid", "_pli",
     "_pdt", "_pdv", "_pdl", "_pdu",
     "_vta_valid", "_vta_blk", "_vta_iid", "_vta_lru",
 )
-_COPY_DICTS = ("_bypassed", "closed_by", "pd_updates")
 
 
 def _lane_key(cache: FastL1DCache) -> Tuple[Any, ...]:
@@ -64,7 +63,7 @@ def _lane_key(cache: FastL1DCache) -> Tuple[Any, ...]:
     Two lanes with equal keys take bit-identical paths through the
     stream: the key covers the geometry and every policy knob the
     blocking replay protocol reads.  ``insn_sample_limit`` is absent
-    (replay never calls ``notify_instructions``) and ``baseline`` /
+    (replay never counts instructions) and ``baseline`` /
     ``stall_bypass`` collapse to one unprotected group (the only stall
     blocking replay can raise is one unprotected policies never hit).
     """
@@ -83,10 +82,7 @@ def _copy_cache(src: FastL1DCache, dst: FastL1DCache) -> None:
         setattr(dst, name, getattr(src, name))
     for name in _COPY_LISTS:
         getattr(dst, name)[:] = getattr(src, name)
-    for name in _COPY_DICTS:
-        d = getattr(dst, name)
-        d.clear()
-        d.update(getattr(src, name))
+    dst.pd_updates = dict(src.pd_updates)
     for field, value in vars(src.stats).items():
         setattr(dst.stats, field,
                 dict(value) if isinstance(value, dict) else value)
@@ -102,7 +98,7 @@ def run_lane(engine: FastReplayEngine, parts: TracePartitions) -> None:
             windows, full = part.windows(cache._acc_limit)
         else:
             windows, full = part.whole_stream()
-        kernel(cache, windows, full, part.n, sm_id)
+        kernel(cache, windows, full, sm_id)
         engine.replayed_per_sm[sm_id] += columns.n
         engine.replayed_records += columns.n
 
@@ -143,23 +139,25 @@ def replay_batch(
         config = GPUConfig()
     parts = decode_source(source, config)
 
-    engines: List[FastReplayEngine] = []
-    for scheme, policy_kwargs in lanes:
-        lane_config, factory = _resolve(scheme, config, **policy_kwargs)
-        engines.append(FastReplayEngine(lane_config, factory))
-
+    engines: List[Union[FastReplayEngine, ReplayEngine]] = []
     done: Dict[Tuple[Any, ...], FastReplayEngine] = {}
     nb_records: List[TraceRecord] = []
-    for engine in engines:
-        if engine.non_blocking:
+    for scheme, policy_kwargs in lanes:
+        lane_config, factory = _resolve(scheme, config, **policy_kwargs)
+        if lane_config.l1d.non_blocking:
             # No batch specialization: fills in flight break the window
-            # decomposition.  Each NB lane gets its own engine pass over
-            # the shared decoded records — lane isolation by construction.
+            # decomposition.  Each NB lane gets its own reference engine
+            # pass over the shared decoded records — lane isolation by
+            # construction.
             if not nb_records:
                 for col in parts.columns:
                     nb_records.extend(col.records())
-            engine.run(iter(nb_records))
+            reference = ReplayEngine(lane_config, factory)
+            reference.run(iter(nb_records))
+            engines.append(reference)
             continue
+        engine = FastReplayEngine(lane_config, factory)
+        engines.append(engine)
         key = _lane_key(engine.caches[0])
         prior = done.get(key)
         if prior is None:

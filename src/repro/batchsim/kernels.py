@@ -5,8 +5,8 @@ through one SM's set-major partition (:mod:`repro.batchsim.decode`).
 Kernels are generated per (policy kind, associativity, knob flags) with
 the way loop unrolled into scalar locals, so the per-record cost is a
 handful of integer compares instead of list walks.  They are the packed
-tier's only blocking replay path — a solo ``--engine fast`` replay runs
-them as a one-lane batch — and their oracle is the reference engine,
+tier's only replay path — a solo ``--engine fast`` replay runs them as
+a one-lane batch — and their oracle is the reference engine,
 :class:`repro.trace.replay.ReplayEngine`: the differential suites in
 ``tests/batchsim`` and ``tests/fastsim`` prove every lane bit-identical
 to it.  The transformations they rely on are:
@@ -36,15 +36,13 @@ to it.  The transformations they rely on are:
   tail, and evicting the first key is the LRU fallback, which the
   array only reaches once every slot is valid.  At the end each dict
   is written back to the set's leading VTA slots in LRU order with
-  stamps ``1..k``: every later insert stamps above the cache-global
-  insert count, so a rerun over the warmed cache evicts exactly the
-  entries the array would have.
+  stamps ``1..k``, so the packed arrays hold the lane's end state.
 * **Derived counters.**  In blocking replay ``loads = hits + misses +
   bypasses``, ``fills = misses``, ``sent_fetches = misses + bypasses``,
-  ``write_evicts = write_hits``, ``vta_probes = misses + bypasses +
-  stalls`` and each window's ``g_tda``/``g_vta`` are the window's hit /
-  VTA-hit deltas — each identity holds access by access, so only the
-  independent counters are maintained in the hot loop.
+  ``write_evicts = write_hits`` and each window's ``g_tda``/``g_vta``
+  are the window's hit / VTA-hit deltas — each identity holds access by
+  access, so only the independent counters are maintained in the hot
+  loop.
 """
 
 from __future__ import annotations
@@ -60,10 +58,10 @@ from repro.batchsim.decode import SetRun
 
 _NO_LINE = StallReason.NO_RESERVABLE_LINE.value
 
-#: ``kernel(cache, windows, full, n, sm_id)`` — advance ``cache``
-#: through the partitioned stream ``windows`` (``full`` closing sampling
-#: windows, ``n`` records total for SM ``sm_id``).
-Kernel = Callable[[FastL1DCache, List[List[SetRun]], int, int, int], None]
+#: ``kernel(cache, windows, full, sm_id)`` — advance the fresh
+#: ``cache`` through SM ``sm_id``'s partitioned stream ``windows``, of
+#: which the first ``full`` close a sampling window.
+Kernel = Callable[[FastL1DCache, List[List[SetRun]], int, int], None]
 
 #: Kind groups.  ``baseline`` and ``stall_bypass`` share the
 #: ``unprotected`` kernel: in blocking replay the only stall is
@@ -113,7 +111,7 @@ def _build(kind: str, assoc: int, bypass_enabled: bool = False,
             lines.append(pad + ln)
 
     # -- prologue ------------------------------------------------------
-    emit(0, "def _kernel(cache, windows, full, n, sm_id):")
+    emit(0, "def _kernel(cache, windows, full, sm_id):")
     emit(1,
          "if cache._stamp or cache.stats.loads or cache.stats.stores:",
          "    raise ValueError('batch kernels require a fresh cache')",
@@ -127,7 +125,6 @@ def _build(kind: str, assoc: int, bypass_enabled: bool = False,
         emit(1,
              "pl_max = cache._pl_max",
              "vta_assoc = cache._vta_assoc",
-             "acc_limit = cache._acc_limit",
              "vds = [{} for _ in range(num_sets)]",
              "vta_hits = 0",
              "vta_inserts = 0",
@@ -363,10 +360,7 @@ def _build(kind: str, assoc: int, bypass_enabled: bool = False,
              "cache._vta_hit_count += vta_hits",
              "cache._vta_insert_count += vta_inserts",
              "cache._vta_stamp += vta_inserts",
-             "cache._vta_probe_count += misses + bypasses + stalls",
-             "cache.samples_completed += full",
-             "cache.closed_by['accesses'] += full",
-             "cache._acc = n - full * acc_limit")
+             "cache.samples_completed += full")
         if dlp:
             emit(1,
                  "cache._g_tda = hits - hw0",

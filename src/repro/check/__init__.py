@@ -17,13 +17,14 @@ package makes both checkable:
   (R001 nondeterminism, R002 float contamination, R003 unmasked
   bit-field arithmetic, R004 cross-process hazards, R005 missing
   ``SIM_VERSION`` bump, R006 abstract-interpretation bit-width proofs,
-  R007 reference/fastsim engine parity, R008 store-key purity, R009
+  R007 override-guard and packed-width parity, R008 store-key purity, R009
   async hygiene, R010 strict-mode marker hygiene), statement-scoped
   allow-markers, a baseline-suppression file, ``--strict`` mode and
   JSON/SARIF output.
 * :mod:`repro.check.analysis` — the static engines behind R006/R007:
   an integer-interval abstract interpreter over the AST and the
-  engine-parity extractor with its committed ``parity_manifest.json``.
+  policy-surface parity extractor with its committed
+  ``parity_manifest.json``.
 * :mod:`repro.check.manifest` — the semantics manifest backing R005: a
   content hash of every ``core/`` and ``cache/`` source file, bound to
   the :data:`~repro.experiments.store.SIM_VERSION` it was recorded at.

@@ -6,12 +6,12 @@ Two engines live here, both pure-AST (no imports of the analyzed code):
   value-range analyzer over integer intervals.  Rule R006 drives it over
   ``repro.core``/``repro.cache``/``repro.fastsim`` to prove that every
   write into a declared hardware bit-field fits its width.
-* :mod:`repro.check.analysis.parity` — AST extraction of policy knob
-  defaults, override-guard styles, width constants and ``@hw_checked``
-  declarations from the reference policies and the packed fast engine.
-  Rule R007 compares the two sides (and a committed manifest) to catch
-  reference/fastsim drift of the class that caused the historical
-  ``nasc=0`` override bug.
+* :mod:`repro.check.analysis.parity` — AST extraction of override-guard
+  styles, width constants and ``@hw_checked`` declarations from the
+  reference policies, plus the packed engine's width-constant usage.
+  Rule R007 checks them (and a committed manifest) to catch the class
+  of drift that caused the historical ``nasc=0`` override bug and
+  packed arrays outgrowing their hardware fields.
 """
 
 from repro.check.analysis.intervals import (

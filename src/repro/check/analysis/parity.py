@@ -1,27 +1,25 @@
-"""Engine-parity extraction: reference policies vs the packed fast engine.
+"""Policy-surface parity extraction: reference policies and packed arrays.
 
-The fast engine (:mod:`repro.fastsim`) re-implements the reference
-policies (:mod:`repro.core`) with every knob, constant and override
-guard *copied inline*.  The copies must track the originals exactly —
-the historical ``nasc=0`` bug was precisely this class of drift: the
-reference grew an ``is not None`` override guard while a truthiness
-``or`` survived elsewhere, silently turning the ``nasc=0`` freeze
-ablation into ``nasc=vta_assoc``.
+The packed engine (:mod:`repro.fastsim`) keeps its lane state in flat
+arrays that encode the reference model's ``@hw_checked`` fields, and
+reads every policy knob off a reference policy instance
+(``PolicySpec.from_policy``), so knob defaults and Optional-knob
+fallbacks exist once, in :mod:`repro.core`.  What can still drift is
+guarded here.  The historical ``nasc=0`` bug is the shape to prevent: a
+truthiness ``or`` in an override fallback silently turned the
+``nasc=0`` freeze ablation into ``nasc=vta_assoc``.
 
 This module extracts, by AST only (the analyzed code is never
 imported):
 
-* **knob defaults** — ``DlpPolicy.__init__`` / ``GlobalProtectionPolicy.
-  __init__`` keyword defaults vs the ``PolicySpec`` dataclass field
-  defaults, with ``Name`` defaults resolved through module constants and
-  one level of ``repro`` imports (``pd_bits=PD_BITS`` → 4);
-* **override-guard styles** — every conditional that selects between an
-  Optional knob and its fallback, classified ``is_not_none`` (correct),
-  ``truthiness`` (an ``A if A else B`` conditional) or ``or_truthiness``
-  (``A or B``, the historical bug shape);
+* **override-guard styles** — every conditional in the reference policy
+  files that selects between an Optional knob and its fallback,
+  classified ``is_not_none`` (correct), ``truthiness`` (an ``A if A
+  else B`` conditional) or ``or_truthiness`` (``A or B``, the
+  historical bug shape);
 * **width constants** — the declared field-width constants, plus proof
-  that the fast engine *imports* them from ``repro.core.pdpt`` rather
-  than redefining its own copies;
+  that the packed engine *imports* the ones it uses from
+  ``repro.core.pdpt`` rather than redefining its own copies;
 * **hardware widths** — every ``@hw_checked`` declaration's resolved
   bit width, keyed by class, against which the packed arrays' declared
   correspondence is checked.
@@ -44,26 +42,20 @@ from repro.check.manifest import package_root
 
 PARITY_MANIFEST_NAME = "parity_manifest.json"
 
-#: The knobs shared verbatim between the reference policies and
-#: ``PolicySpec`` — defaults must be equal on all three surfaces.
-SHARED_KNOBS = (
-    "sample_limit",
-    "insn_sample_limit",
-    "vta_assoc",
-    "pd_bits",
-    "nasc",
-    "bypass_enabled",
-)
-
 #: Optional-knob terminal names whose fallback selection must use an
 #: ``is not None`` guard.  Matching is on the trailing identifier of the
 #: guarded expression with leading underscores stripped and an
 #: ``_override`` suffix dropped (``self._nasc_override`` → ``nasc``).
 OVERRIDE_KNOBS = ("nasc", "vta_assoc")
 
-#: Width constants the fast engine must import from the reference model,
-#: never shadow with its own literals.
-SHARED_CONSTANTS = ("PDPT_ENTRIES", "PD_BITS", "TDA_HIT_BITS", "VTA_HIT_BITS")
+#: The field-width constants ``repro.core.pdpt`` declares.  The packed
+#: engine may redefine none of them.
+PDPT_CONSTANTS = ("PDPT_ENTRIES", "INSN_ID_BITS", "PD_BITS", "TDA_HIT_BITS",
+                  "VTA_HIT_BITS")
+
+#: The width constants the packed engine uses, which it must import
+#: from the reference model.
+SHARED_CONSTANTS = ("PDPT_ENTRIES", "TDA_HIT_BITS", "VTA_HIT_BITS")
 
 #: Packed array -> the reference ``@hw_checked`` field it encodes.  The
 #: packed engine has no contract descriptors of its own; its widths are
@@ -71,7 +63,6 @@ SHARED_CONSTANTS = ("PDPT_ENTRIES", "PD_BITS", "TDA_HIT_BITS", "VTA_HIT_BITS")
 PACKED_CORRESPONDENCE = {
     "_pli": "protected_life",
     "_iid": "insn_id",
-    "_pnd": "pending_insn_id",
     "_vta_iid": "insn_id",
     "_pdt": "tda_hits",
     "_pdv": "vta_hits",
@@ -79,16 +70,8 @@ PACKED_CORRESPONDENCE = {
     "_gpd": "global_pd",
 }
 
-#: (relpath, class) pairs whose ``__init__`` keyword defaults form the
-#: reference side of the knob table.
-_REFERENCE_POLICIES = (
-    ("core/dlp.py", "DlpPolicy", "reference.dlp"),
-    ("core/global_protection.py", "GlobalProtectionPolicy",
-     "reference.global_protection"),
-)
-
-_SPEC_FILE = "fastsim/engine.py"
-_SPEC_CLASS = "PolicySpec"
+#: The packed engine module whose width-constant usage is checked.
+_PACKED_FILE = "fastsim/engine.py"
 
 #: Files scanned for ``@hw_checked`` declarations and override guards.
 _SCANNED_FILES = (
@@ -98,8 +81,6 @@ _SCANNED_FILES = (
     "core/global_protection.py",
     "cache/line.py",
     "cache/mshr.py",
-    "fastsim/engine.py",
-    "fastsim/replay.py",
 )
 
 
@@ -197,44 +178,6 @@ class _ConstantResolver:
 # extraction passes
 # ----------------------------------------------------------------------
 
-def _find_class(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
-
-
-def _init_defaults(
-    resolver: _ConstantResolver, path: Path, cls: ast.ClassDef
-) -> Dict[str, object]:
-    for node in cls.body:
-        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
-            args = node.args
-            params = (args.posonlyargs + args.args)[1:]  # drop self
-            defaults = list(args.defaults)
-            out: Dict[str, object] = {}
-            # defaults align with the tail of the parameter list
-            for param, default in zip(params[len(params) - len(defaults):],
-                                      defaults):
-                out[param.arg] = resolver.literal(path, default)
-            for kwarg, kwdefault in zip(args.kwonlyargs, args.kw_defaults):
-                if kwdefault is not None:
-                    out[kwarg.arg] = resolver.literal(path, kwdefault)
-            return out
-    return {}
-
-
-def _dataclass_defaults(
-    resolver: _ConstantResolver, path: Path, cls: ast.ClassDef
-) -> Dict[str, object]:
-    out: Dict[str, object] = {}
-    for node in cls.body:
-        if isinstance(node, ast.AnnAssign) and node.value is not None:
-            if isinstance(node.target, ast.Name):
-                out[node.target.id] = resolver.literal(path, node.value)
-    return out
-
-
 def _terminal_name(node: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Attribute):
         return node.attr
@@ -330,8 +273,8 @@ def _hw_widths(
 def _fastsim_constant_usage(
     tree: ast.Module,
 ) -> Tuple[List[str], List[str]]:
-    """(imported-from-core names, locally-redefined names) for the
-    shared width constants in the fast engine module."""
+    """(imported-from-core shared names, locally-redefined width
+    constants) in the packed engine module."""
     imported: List[str] = []
     redefined: List[str] = []
     for node in tree.body:
@@ -348,7 +291,7 @@ def _fastsim_constant_usage(
                 )
                 for name in names:
                     if isinstance(name, ast.Name) and (
-                        name.id in SHARED_CONSTANTS
+                        name.id in PDPT_CONSTANTS
                     ):
                         redefined.append(name.id)
     return sorted(set(imported)), sorted(set(redefined))
@@ -361,23 +304,6 @@ def _fastsim_constant_usage(
 def compute_parity(root: Optional[Path] = None) -> Dict[str, object]:
     root = root or package_root()
     resolver = _ConstantResolver(root)
-
-    knob_defaults: Dict[str, object] = {}
-    for relpath, class_name, key in _REFERENCE_POLICIES:
-        path = root / relpath
-        tree = resolver.tree(path)
-        cls = _find_class(tree, class_name) if tree is not None else None
-        knob_defaults[key] = (
-            _init_defaults(resolver, path, cls) if cls is not None
-            else f"<missing:{class_name}>"
-        )
-    spec_path = root / _SPEC_FILE
-    spec_tree = resolver.tree(spec_path)
-    spec_cls = _find_class(spec_tree, _SPEC_CLASS) if spec_tree else None
-    knob_defaults["fastsim.spec"] = (
-        _dataclass_defaults(resolver, spec_path, spec_cls)
-        if spec_cls is not None else f"<missing:{_SPEC_CLASS}>"
-    )
 
     override_guards: Dict[str, object] = {}
     hw_widths: Dict[str, object] = {}
@@ -394,20 +320,19 @@ def compute_parity(root: Optional[Path] = None) -> Dict[str, object]:
 
     width_constants = {
         name: resolver.lookup(root / "core" / "pdpt.py", name)
-        for name in ("PDPT_ENTRIES", "INSN_ID_BITS", "PD_BITS",
-                     "TDA_HIT_BITS", "VTA_HIT_BITS")
+        for name in PDPT_CONSTANTS
     }
     width_constants["PL_BITS"] = resolver.lookup(
         root / "cache" / "line.py", "PL_BITS"
     )
 
     imported, redefined = ([], [])
-    if spec_tree is not None:
-        imported, redefined = _fastsim_constant_usage(spec_tree)
+    packed_tree = resolver.tree(root / _PACKED_FILE)
+    if packed_tree is not None:
+        imported, redefined = _fastsim_constant_usage(packed_tree)
 
     return {
         "version": 1,
-        "knob_defaults": knob_defaults,
         "override_guards": override_guards,
         "width_constants": width_constants,
         "fastsim_constant_imports": imported,
@@ -422,7 +347,7 @@ def load_parity(root: Optional[Path] = None) -> Optional[Dict[str, object]]:
         data = json.loads(parity_path(root).read_text(encoding="utf-8"))
     except (FileNotFoundError, json.JSONDecodeError):
         return None
-    if not isinstance(data, dict) or "knob_defaults" not in data:
+    if not isinstance(data, dict) or "hw_widths" not in data:
         return None
     return data
 
@@ -441,32 +366,10 @@ def write_parity(root: Optional[Path] = None) -> Path:
 # ----------------------------------------------------------------------
 
 def check_consistency(parity: Dict[str, object]) -> List[str]:
-    """Cross-engine laws that must hold for *any* extraction — these are
-    not manifest-relative, so regenerating the manifest cannot launder a
+    """Laws that must hold for *any* extraction — these are not
+    manifest-relative, so regenerating the manifest cannot launder a
     violation."""
     problems: List[str] = []
-
-    defaults = parity.get("knob_defaults", {})
-    surfaces = ("reference.dlp", "reference.global_protection", "fastsim.spec")
-    tables = {}
-    for surface in surfaces:
-        table = defaults.get(surface) if isinstance(defaults, dict) else None
-        if not isinstance(table, dict):
-            problems.append(f"knob defaults missing for {surface}: {table!r}")
-            continue
-        tables[surface] = table
-    if len(tables) == len(surfaces):
-        for knob in SHARED_KNOBS:
-            values = {s: t.get(knob, "<absent>") for s, t in tables.items()}
-            distinct = {json.dumps(v, sort_keys=True) for v in values.values()}
-            if len(distinct) != 1:
-                listing = ", ".join(
-                    f"{s}={values[s]!r}" for s in surfaces
-                )
-                problems.append(
-                    f"knob default drift for {knob!r}: {listing} — the "
-                    f"reference policies and PolicySpec must agree"
-                )
 
     guards = parity.get("override_guards", {})
     if isinstance(guards, dict):

@@ -33,8 +33,8 @@ from typing import Dict, List, Optional
 
 #: Packages whose sources define simulation semantics for the purposes
 #: of the SIM_VERSION rule: the policy/cache protocol plus the packed
-#: fast engine, which re-implements that protocol and must change in
-#: lockstep with it.
+#: replay engine and its kernels, which encode that protocol and must
+#: change in lockstep with it.
 SEMANTIC_PACKAGES = ("core", "cache", "fastsim", "batchsim")
 
 MANIFEST_NAME = "semantics_manifest.json"

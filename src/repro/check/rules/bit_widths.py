@@ -51,7 +51,6 @@ SCALAR_FIELDS = {
 PACKED_FIELDS = {
     "_pli": 4,
     "_iid": 7,
-    "_pnd": 7,
     "_pdt": 8,
     "_pdv": 10,
     "_pdl": 4,

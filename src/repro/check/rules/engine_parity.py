@@ -1,4 +1,4 @@
-"""R007 — reference/fastsim engine parity.
+"""R007 — policy-surface parity (override guards, packed widths).
 
 Two pieces, one rule id:
 
@@ -7,16 +7,16 @@ Two pieces, one rule id:
   the exact shape of the historical nasc bug: ``nasc or vta_assoc``
   silently turns the valid ablation value ``nasc=0`` into
   ``vta_assoc``, freezing nothing.  The rule is scoped to the policy
-  packages (``core/``, ``fastsim/``) where these knobs live.
+  package (``core/``), the one place these fallbacks live: the packed
+  engine reads the resolved knobs off a reference policy.
 
-* :class:`EngineParityRule` (repo-level) — extracts knob defaults,
-  override-guard styles, width-constant usage and ``@hw_checked``
-  declarations from both engines (:mod:`repro.check.analysis.parity`),
-  enforces the cross-engine laws (defaults equal on all three surfaces,
-  constants imported not redefined, one width per hardware field, every
-  packed array backed by a declared field), verifies the packed-array
-  width table used by R006 against the extracted declarations, and
-  finally diffs the extraction against the committed
+* :class:`EngineParityRule` (repo-level) — extracts override-guard
+  styles, width-constant usage and ``@hw_checked`` declarations
+  (:mod:`repro.check.analysis.parity`), enforces the laws (constants
+  imported not redefined, one width per hardware field, every packed
+  array backed by a declared field, PL as wide as PD), verifies the
+  packed-array width table used by R006 against the extracted
+  declarations, and finally diffs the extraction against the committed
   ``parity_manifest.json`` so any intentional change is a
   reviewer-visible ``repro check --update-parity`` refresh.
 """
@@ -31,7 +31,7 @@ from repro.check.analysis import parity
 from repro.check.manifest import package_root
 from repro.check.rules.base import Finding, ModuleSource, RepoRule, Rule
 
-_SCOPED_PACKAGES = ("repro/core/", "repro/fastsim/")
+_SCOPED_PACKAGES = ("repro/core/",)
 
 _STYLE_HINTS = {
     "or_truthiness": (
@@ -69,7 +69,7 @@ class OverrideGuardRule(Rule):
 
 class EngineParityRule(RepoRule):
     rule_id = "R007"
-    title = "reference/fastsim policy surface drift"
+    title = "policy surface / packed-array width drift"
 
     def check_repo(self, root: Optional[Path] = None) -> Iterator[Finding]:
         pkg_root = root or package_root()

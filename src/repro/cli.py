@@ -23,10 +23,11 @@ predict    analytical miss-rate/IPC estimates for an app x scheme grid —
            no cache is stepped; calibrated error bars included
 profile    reuse-distance analysis of one application (Fig. 3/7 style)
 trace      record, inspect, replay and import memory traces
-check      static verification: determinism, bit-width proofs, engine
-           parity, key purity, async hygiene (rules R001-R010, CI gate)
-fuzz       differential fuzzer: seeded adversarial streams through both
-           L1D engines across the scheme x MSHR-mode grid (CI gate)
+check      static verification: determinism, bit-width proofs, override
+           guards and packed-width parity, key purity, async hygiene
+           (rules R001-R010, CI gate)
+fuzz       differential fuzzer: seeded adversarial streams replayed
+           through both engines under every scheme (CI gate)
 list       the Table 2 application registry
 
 Examples
@@ -117,10 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of SMs (scaled machine; default 4)")
     p_run.add_argument("--scale", type=float, default=1.0,
                        help="workload input scale factor")
-    p_run.add_argument("--engine", default="reference",
-                       choices=["reference", "fast"],
-                       help="L1D implementation (bit-identical results; "
-                            "'fast' is the packed array engine)")
     p_run.add_argument("--non-blocking", action="store_true",
                        help="non-blocking L1D (hit-under-miss, word-"
                             "granular MSHR merging); enters store keys")
@@ -159,14 +156,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trace-dir", default=None, metavar="DIR",
                          help="with --replay: persist recorded traces here "
                               "(default: in-memory, this run only)")
-    p_sweep.add_argument("--engine", default="reference",
+    p_sweep.add_argument("--engine", default=None,
                          choices=["reference", "fast", "batch"],
-                         help="L1D implementation for uncached cells "
-                              "(bit-identical results; store keys are "
-                              "engine-independent; with --replay, 'fast' "
-                              "replays all of an app's uncached cells in "
-                              "one batch pass; 'batch' is another "
-                              "spelling of 'fast')")
+                         help="with --replay: replay engine for uncached "
+                              "cells (default reference; bit-identical "
+                              "results; store keys are engine-independent; "
+                              "'fast' replays all of an app's uncached "
+                              "cells in one batch pass; 'batch' is another "
+                              "spelling of 'fast').  Timing cells always "
+                              "run the reference L1D")
     p_sweep.add_argument("--non-blocking", action="store_true",
                          help="non-blocking L1D for every cell "
                               "(semantic switch: enters store keys)")
@@ -208,9 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: capture in-worker, no sharing)")
     p_serve.add_argument("--engine", default="reference",
                          choices=["reference", "fast"],
-                         help="L1D implementation the workers run "
-                              "(bit-identical results; store keys are "
-                              "engine-independent)")
+                         help="replay engine the workers run for replay "
+                              "jobs (bit-identical results; store keys are "
+                              "engine-independent; timing jobs always run "
+                              "the reference L1D)")
     p_serve.add_argument("--drain-timeout", type=float, default=30.0,
                          metavar="SECONDS",
                          help="max wait for active jobs on SIGTERM "
@@ -322,7 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="result store for the self-hosted cluster "
                              "(default: in-memory)")
     p_load.add_argument("--engine", default="reference",
-                        choices=["reference", "fast"])
+                        choices=["reference", "fast"],
+                        help="replay engine of the self-hosted cluster's "
+                             "replay jobs (timing jobs always run the "
+                             "reference L1D)")
     p_load.add_argument("--max-queued", type=int, default=0)
     p_load.add_argument("--rate", type=float, default=None)
     p_load.add_argument("--burst", type=float, default=None)
@@ -425,8 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: the trace's own)")
     t_rep.add_argument("--engine", default="reference",
                        choices=["reference", "fast", "batch"],
-                       help="replay engine (bit-identical results; "
-                            "'batch' is another spelling of 'fast')")
+                       help="replay engine (bit-identical results; 'fast' "
+                            "replays every scheme in one batch pass over "
+                            "one decode; non-blocking replays run the "
+                            "reference engine; 'batch' is another "
+                            "spelling of 'fast')")
     t_rep.add_argument("--non-blocking", action="store_true",
                        help="replay against the non-blocking L1D "
                             "(windowed fills; RESERVED lines survive "
@@ -447,8 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser(
         "check",
-        help="static verification: determinism, bit-width proofs, engine "
-             "parity, key purity and async hygiene (rules R001-R010)",
+        help="static verification: determinism, bit-width proofs, "
+             "override guards and packed-width parity, key purity and "
+             "async hygiene (rules R001-R010)",
     )
     p_check.add_argument("paths", nargs="*", metavar="PATH",
                          help="files or directories to lint (default: the "
@@ -467,8 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="regenerate the R005 semantics manifest "
                               "(after bumping SIM_VERSION)")
     p_check.add_argument("--update-parity", action="store_true",
-                         help="regenerate the R007 engine-parity manifest "
-                              "(after an intentional policy-surface change)")
+                         help="regenerate the R007 parity manifest "
+                              "(override guards, width constants, "
+                              "@hw_checked widths, packed arrays) after an "
+                              "intentional policy-surface change")
     p_check.add_argument("--strict", action="store_true",
                          help="refuse a baseline and enforce allow-marker "
                               "hygiene (R010: unused or unjustified markers)")
@@ -477,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fuzz = sub.add_parser(
         "fuzz",
-        help="differential fuzz: adversarial streams through both L1D "
-             "engines across the scheme x MSHR-mode grid",
+        help="differential fuzz: adversarial streams replayed through "
+             "both engines under every scheme (blocking L1D)",
     )
     p_fuzz.add_argument("--streams", type=int, default=20,
                         help="seeded streams to generate (default 20)")
@@ -510,7 +518,7 @@ def cmd_run(args) -> int:
     if args.non_blocking:
         config = config.with_l1d(non_blocking=True)
     result = run_workload(args.app.upper(), args.policy, config,
-                          scale=args.scale, engine=args.engine)
+                          scale=args.scale)
     rows = [(k, f"{v:.4g}") for k, v in result.summary().items()]
     print(ascii_table(
         ["metric", "value"], rows,
@@ -579,14 +587,20 @@ def cmd_sweep(args) -> int:
             )
     if getattr(args, "grid", None) and not args.replay:
         raise ValueError("--grid is a replay mode; add --replay")
+    if args.engine is not None and not args.replay:
+        raise ValueError(
+            "--engine selects the replay engine; add --replay (timing "
+            "cells always run the reference L1D)"
+        )
     if args.replay:
+        args.engine = args.engine or "reference"
         if getattr(args, "grid", None):
             return _replay_grid(args, apps, schemes)
         return _replay_sweep(args, apps, schemes)
     executor = SweepExecutor(store=open_store(args.store), jobs=args.jobs)
     results = executor.run_sweep(
         apps, schemes, num_sms=args.sms, scale=args.scale, seed=args.seed,
-        engine=args.engine, config=_cli_config(args),
+        config=_cli_config(args),
     )
     rows = [
         (
@@ -1116,9 +1130,9 @@ def cmd_trace(args) -> int:
         TraceReader,
         import_text_trace,
         record_app,
-        replay_trace,
         replay_workload,
     )
+    from repro.trace.replay import replay_lanes
 
     if args.trace_command == "record":
         config = harness_config(args.sms)
@@ -1176,8 +1190,8 @@ def cmd_trace(args) -> int:
     if args.non_blocking:
         config = (config or harness_config(reader.num_sms)) \
             .with_l1d(non_blocking=True)
-    results = {s: replay_trace(reader, s, config, engine=args.engine)
-               for s in schemes}
+    results = dict(zip(schemes, replay_lanes(
+        reader, [(s, {}) for s in schemes], config, engine=args.engine)))
     rows = [
         (
             SCHEME_LABELS[s],
@@ -1288,7 +1302,6 @@ def cmd_fuzz(args) -> int:
             d.case.generator,
             str(d.case.seed),
             d.scheme,
-            "non-blocking" if d.non_blocking else "blocking",
             f"{d.prefix}/{d.records}",
             d.ref_fingerprint[:12],
             d.fast_fingerprint[:12],
@@ -1296,7 +1309,7 @@ def cmd_fuzz(args) -> int:
         for d in report.divergences
     ]
     print(ascii_table(
-        ["Generator", "Seed", "Scheme", "MSHR mode", "Prefix", "ref", "fast"],
+        ["Generator", "Seed", "Scheme", "Prefix", "ref", "fast"],
         rows,
         title=f"{len(report.divergences)} divergence(s)",
     ))

@@ -39,11 +39,6 @@ class Cell:
     ``policy_kwargs`` is a sorted tuple of ``(name, value)`` pairs so the
     cell stays hashable; build cells through :meth:`make` to get the
     normalisation (upper-cased abbr, sorted kwargs) for free.
-
-    ``engine`` selects the L1D implementation (reference or fast).  It
-    is deliberately **excluded** from :meth:`key`, :meth:`meta` and
-    :meth:`fingerprint`: the engines are bit-identical, so results
-    computed by either resolve the same store entry.
     """
 
     abbr: str
@@ -54,7 +49,6 @@ class Cell:
     max_cycles: Optional[int] = None
     policy_kwargs: Tuple[Tuple[str, Any], ...] = ()
     config: Optional[GPUConfig] = None
-    engine: str = "reference"
 
     @classmethod
     def make(
@@ -66,7 +60,6 @@ class Cell:
         seed: int = 0,
         max_cycles: Optional[int] = None,
         config: Optional[GPUConfig] = None,
-        engine: str = "reference",
         **policy_kwargs,
     ) -> "Cell":
         return cls(
@@ -78,7 +71,6 @@ class Cell:
             max_cycles=max_cycles,
             policy_kwargs=tuple(sorted(policy_kwargs.items())),
             config=config,
-            engine=engine,
         )
 
     def resolved_config(self) -> GPUConfig:
@@ -173,7 +165,6 @@ def simulate_cell(cell: Cell) -> Dict[str, Any]:
         scale=cell.scale,
         seed=workload_seed,
         max_cycles=cell.max_cycles,
-        engine=cell.engine,
         **dict(cell.policy_kwargs),
     )
     return result.to_dict()
@@ -254,7 +245,6 @@ class SweepExecutor:
         num_sms: int = 4,
         scale: float = 1.0,
         seed: int = 0,
-        engine: str = "reference",
         config: Optional[GPUConfig] = None,
         **policy_kwargs,
     ) -> Dict[str, Dict[str, SimResult]]:
@@ -267,7 +257,7 @@ class SweepExecutor:
         apps = [a.upper() for a in apps]
         grid = [
             Cell.make(app, scheme, num_sms=num_sms, scale=scale, seed=seed,
-                      config=config, engine=engine, **policy_kwargs)
+                      config=config, **policy_kwargs)
             for app in apps
             for scheme in schemes
         ]

@@ -1,20 +1,20 @@
 """Differential workload fuzzer: reference vs fast over adversarial streams.
 
 The repo's bit-identity claim — the packed fast engine and the
-reference engine produce byte-identical results, in blocking *and*
-non-blocking MSHR mode — is enforced elsewhere on the Table 2 models
-and the golden traces.  Those are well-behaved streams.  This module
-hunts the claim's edges: seeded adversarial streams (see
-:mod:`repro.workloads.adversarial`) are captured once and replayed
-through **both** engines across the full ``scheme x mshr-mode`` grid,
+reference engine produce byte-identical replay results — is enforced
+elsewhere on the Table 2 models and the golden traces.  Those are
+well-behaved streams.  This module hunts the claim's edges: seeded
+adversarial streams (see :mod:`repro.workloads.adversarial`) are
+captured once and replayed through **both** engines for every scheme,
 comparing the complete serialized result (``SimResult.to_dict`` under
 :func:`~repro.experiments.store.canonical_json`) — every counter, every
-policy internal.
+policy internal.  The grid is blocking-only: a non-blocking ``fast``
+replay runs the reference engine, so there is nothing to compare.
 
 On a mismatch the fuzzer does not just report the case: it shrinks the
 stream to the shortest failing prefix (exponential probe + binary
 search over the record count) and emits a machine-readable repro
-payload — generator, seed, scale, scheme, mode, prefix length — enough
+payload — generator, seed, scale, scheme, prefix length — enough
 to replay the divergence in a two-line script.
 
 Everything is deterministic: a fuzz run is identified by
@@ -41,17 +41,14 @@ from repro.workloads.adversarial import (
 #: The full policy grid (paper Fig. 10 schemes).
 FUZZ_SCHEMES = ("baseline", "dlp", "global_protection", "stall_bypass")
 
-#: Both MSHR modes; ``True`` is where the engines earn their keep.
-FUZZ_MODES = (False, True)
-
 
 def fuzz_config(num_sms: int = 2, non_blocking: bool = False) -> GPUConfig:
     """The fuzzer's machine: harness shape with a *pressured* L1D.
 
     The default 32-entry MSHR never fills under the non-blocking replay
-    window (24 outstanding accesses), so resource-stall paths — exactly
-    where the engines are most likely to diverge — would go untested.
-    Shrinking MSHR/merge/miss-queue below the window forces
+    window (24 outstanding accesses), so resource-stall paths would go
+    untested by the pinned non-blocking corpus.  Shrinking
+    MSHR/merge/miss-queue below the window forces
     ``MSHR_FULL``/``MERGE_FULL``/``MISS_QUEUE_FULL`` onto every
     saturating stream while leaving geometry (and therefore the
     adversarial generators' set-targeting) untouched.
@@ -88,7 +85,6 @@ class Divergence:
 
     case: FuzzCase
     scheme: str
-    non_blocking: bool
     records: int          # full stream length
     prefix: int           # shortest failing prefix (== records if flat)
     ref_fingerprint: str
@@ -98,7 +94,6 @@ class Divergence:
         return {
             **self.case.describe(),
             "scheme": self.scheme,
-            "non_blocking": self.non_blocking,
             "records": self.records,
             "prefix": self.prefix,
             "ref_sha": self.ref_fingerprint,
@@ -117,7 +112,7 @@ class FuzzReport:
     """What a fuzz run did, and what (if anything) it found."""
 
     cases: int = 0
-    checks: int = 0          # (case, scheme, mode) grid points compared
+    checks: int = 0          # (case, scheme) grid points compared
     records: int = 0         # stream records captured (pre-truncation)
     divergences: List[Divergence] = field(default_factory=list)
 
@@ -183,16 +178,15 @@ def shrink_failing_prefix(records, config: GPUConfig, scheme: str) -> int:
 def run_case(
     case: FuzzCase,
     schemes: Sequence[str] = FUZZ_SCHEMES,
-    modes: Sequence[bool] = FUZZ_MODES,
     length: Optional[int] = None,
     report: Optional[FuzzReport] = None,
     shrink: bool = True,
 ) -> List[Divergence]:
-    """Check one stream over the full grid; returns its divergences.
+    """Check one stream over every scheme; returns its divergences.
 
-    The stream is captured once (capture is mode-independent) and every
-    ``scheme x mode`` point replays the same record list through both
-    engines.  ``length`` truncates the stream (faster CI smoke runs).
+    The stream is captured once and every scheme replays the same
+    record list through both engines.  ``length`` truncates the stream
+    (faster CI smoke runs).
     """
     register_adversarial_workloads()
     workload = make_workload(case.generator, case.scale, seed=case.seed)
@@ -203,27 +197,25 @@ def run_case(
     if length is not None:
         records = records[:length]
     found: List[Divergence] = []
-    for non_blocking in modes:
-        config = fuzz_config(case.num_sms, non_blocking=non_blocking)
-        for scheme in schemes:
-            if report is not None:
-                report.checks += 1
-            fps = _diverges(records, config, scheme)
-            if fps is None:
-                continue
-            prefix = (
-                shrink_failing_prefix(records, config, scheme)
-                if shrink else len(records)
-            )
-            found.append(Divergence(
-                case=case,
-                scheme=scheme,
-                non_blocking=non_blocking,
-                records=len(records),
-                prefix=prefix,
-                ref_fingerprint=fps[0],
-                fast_fingerprint=fps[1],
-            ))
+    config = fuzz_config(case.num_sms)
+    for scheme in schemes:
+        if report is not None:
+            report.checks += 1
+        fps = _diverges(records, config, scheme)
+        if fps is None:
+            continue
+        prefix = (
+            shrink_failing_prefix(records, config, scheme)
+            if shrink else len(records)
+        )
+        found.append(Divergence(
+            case=case,
+            scheme=scheme,
+            records=len(records),
+            prefix=prefix,
+            ref_fingerprint=fps[0],
+            fast_fingerprint=fps[1],
+        ))
     if report is not None:
         report.divergences.extend(found)
     return found

@@ -52,15 +52,9 @@ def build_simulator(
     scale: float = 1.0,
     max_cycles: Optional[int] = None,
     seed: int = 0,
-    engine: str = "reference",
     **policy_kwargs,
 ) -> GpuSimulator:
-    """Construct (but do not run) a simulator for one experiment cell.
-
-    ``engine`` selects the L1D implementation (``reference`` or
-    ``fast``); results are bit-identical either way, so the choice never
-    enters a cell's identity.
-    """
+    """Construct (but do not run) a simulator for one experiment cell."""
     config = config or harness_config()
     if scheme in ("32kb", "64kb"):
         config = config.with_l1d_size_kb(int(scheme[:-2]))
@@ -73,7 +67,6 @@ def build_simulator(
         config,
         policy_factory=lambda: make_policy(policy_name, **policy_kwargs),
         max_cycles=max_cycles,
-        engine=engine,
     )
 
 
@@ -84,13 +77,11 @@ def run_workload(
     scale: float = 1.0,
     seed: int = 0,
     max_cycles: Optional[int] = None,
-    engine: str = "reference",
     **policy_kwargs,
 ) -> SimResult:
     """Simulate one application under one scheme (uncached)."""
     sim = build_simulator(
-        abbr, policy, config, scale, max_cycles, seed=seed, engine=engine,
-        **policy_kwargs
+        abbr, policy, config, scale, max_cycles, seed=seed, **policy_kwargs
     )
     return sim.run()
 

@@ -1,36 +1,33 @@
-"""Packed fast-path simulation engine (``--engine fast``).
+"""Packed fast-path replay engine (``--engine fast``).
 
-Two interchangeable L1D engines exist:
+Two interchangeable replay engines exist:
 
 * ``reference`` — the per-object model (:mod:`repro.cache.l1d` +
   :mod:`repro.core`), with hardware bit-width contracts and per-hook
-  policy dispatch.  The semantic source of truth.
-* ``fast`` — :class:`repro.fastsim.engine.FastL1DCache`, a packed
-  struct-of-arrays engine with the four policies inlined.  Bit-identical
-  to the reference (proven by ``tests/fastsim``), several times faster.
-  Its blocking trace replays run the generated batch kernels
-  (:mod:`repro.batchsim`) as one-lane batches.  ``batch`` is accepted
-  as another spelling of ``fast``.
+  policy dispatch.  The semantic source of truth, and the only L1D the
+  timing simulator runs.
+* ``fast`` — blocking trace replays over
+  :class:`repro.fastsim.engine.FastL1DCache`, packed struct-of-arrays
+  lane state advanced by the generated batch kernels
+  (:mod:`repro.batchsim`) as one-lane batches.  Bit-identical to the
+  reference (proven by ``tests/fastsim`` and ``tests/batchsim``),
+  several times faster.  Non-blocking replays selected as ``fast`` run
+  the reference engine.  ``batch`` is accepted as another spelling of
+  ``fast``.
 
 Because results are identical, the engine choice is an *execution*
 detail, never part of a result's identity: store keys and cell
 fingerprints exclude it, and results computed by either engine resolve
 each other in every store.
 
-This package module stays import-light (engine only) so
-``repro.gpu.sm`` can import it without cycles; the replay fast path
-(:mod:`repro.fastsim.replay`) and the profiler
+This package module stays import-light (engine only); the replay fast
+path (:mod:`repro.fastsim.replay`) and the profiler
 (:mod:`repro.fastsim.profile`) import the simulator layers and are
 loaded lazily by their callers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-from repro.cache.l1d import FetchRequest, L1DCache
-from repro.cache.tagarray import CacheGeometry
-from repro.core.policy import CachePolicy
 from repro.fastsim.engine import FastL1DCache, PolicySpec
 
 #: The selectable engines, in default-first order.
@@ -54,36 +51,10 @@ def validate_engine(engine: str) -> str:
     return engine
 
 
-def make_l1d(
-    engine: str,
-    geometry: CacheGeometry,
-    policy: CachePolicy,
-    send_fn: Optional[Callable[[FetchRequest], None]] = None,
-    mshr_entries: int = 32,
-    mshr_merge: int = 8,
-    miss_queue_depth: int = 8,
-    sm_id: int = 0,
-    non_blocking: bool = False,
-):
-    """Build the selected engine's L1D; both share one protocol surface."""
-    cls = L1DCache if validate_engine(engine) == "reference" else FastL1DCache
-    return cls(
-        geometry,
-        policy,
-        send_fn=send_fn,
-        mshr_entries=mshr_entries,
-        mshr_merge=mshr_merge,
-        miss_queue_depth=miss_queue_depth,
-        sm_id=sm_id,
-        non_blocking=non_blocking,
-    )
-
-
 __all__ = [
     "DEFAULT_ENGINE",
     "ENGINES",
     "FastL1DCache",
     "PolicySpec",
-    "make_l1d",
     "validate_engine",
 ]

@@ -1,28 +1,26 @@
 """Fast trace replay over the packed engine.
 
-:class:`FastReplayEngine` is the drop-in counterpart of
-:class:`repro.trace.replay.ReplayEngine` for ``--engine fast``: same
-record streams in, bit-identical :class:`~repro.gpu.simulator.SimResult`
-out.
+:class:`FastReplayEngine` is the packed counterpart of
+:class:`repro.trace.replay.ReplayEngine` for blocking ``--engine fast``
+replays: same record streams in, bit-identical
+:class:`~repro.gpu.simulator.SimResult` out.
 
-A blocking replay of a fresh engine is the one-lane case of the batch
-replay engine: the stream decodes to per-SM columns
-(:mod:`repro.batchsim.decode`, vectorized when the source is a
-:class:`~repro.trace.format.TraceReader`) and each SM's cache runs the
-generated kernel for its policy (:mod:`repro.batchsim.kernels`).  The
-kernels rely on the blocking-replay invariants the reference engine
-documents — fills are immediate, so no RESERVED line survives between
-accesses, pending-hit merges never occur and the MSHR/miss queue never
-fill.  Non-blocking replays, where those invariants do not hold, and
-reruns over already-warmed caches, which the kernels refuse, drive the
-packed caches record by record through the reference engine's protocol
-drivers instead.
+A fast replay is the one-lane case of the batch replay engine: the
+stream decodes to per-SM columns (:mod:`repro.batchsim.decode`,
+vectorized when the source is a :class:`~repro.trace.format.TraceReader`)
+and each SM's cache runs the generated kernel for its policy
+(:mod:`repro.batchsim.kernels`).  The kernels rely on the
+blocking-replay invariants the reference engine documents — fills are
+immediate, so no RESERVED line survives between accesses, pending-hit
+merges never occur and the MSHR/miss queue never fill.  Non-blocking
+replays, where those invariants do not hold, run the reference engine
+(:func:`repro.trace.replay.make_replay_engine` picks it), and an engine
+runs once: the kernels refuse an already-warmed cache.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from repro.fastsim.engine import FastL1DCache, PolicySpec
 from repro.gpu.config import GPUConfig
@@ -32,54 +30,31 @@ from repro.trace.replay import ReplayEngine
 
 
 class FastReplayEngine:
-    """Per-SM packed caches consuming a record stream.
+    """Per-SM packed caches consuming one blocking record stream.
 
     Constructor-compatible with :class:`ReplayEngine` (``config`` plus a
-    policy factory); the factory is invoked once to extract the
+    policy factory); the factory is invoked once to read the
     :class:`PolicySpec` every per-SM cache shares.
     """
 
     def __init__(self, config: GPUConfig, policy_factory) -> None:
+        if config.l1d.non_blocking:
+            raise ValueError(
+                "the packed engine replays blocking L1Ds only; non-blocking "
+                "replays run the reference engine"
+            )
         self.config = config
-        spec = PolicySpec.from_policy(policy_factory())
-        self._insn_ids: Dict[int, int] = {}
+        geometry = config.l1d.geometry()
+        spec = PolicySpec.from_policy(policy_factory(), geometry)
         self.sent_fetches = 0
         self.sent_writes = 0
-        l1 = config.l1d
-        self.non_blocking = l1.non_blocking
         self.caches: List[FastL1DCache] = [
-            FastL1DCache(
-                l1.geometry(),
-                spec,
-                mshr_entries=l1.mshr_entries,
-                mshr_merge=l1.mshr_merge,
-                miss_queue_depth=l1.miss_queue_depth,
-                sm_id=sm_id,
-                non_blocking=l1.non_blocking,
-            )
-            for sm_id in range(config.num_sms)
+            FastL1DCache(geometry, spec) for _ in range(config.num_sms)
         ]
         self.replayed_records = 0
         self.replayed_per_sm: List[int] = [0] * config.num_sms
-        self._nb_outstanding = [deque() for _ in range(config.num_sms)]
-        self._nb_seq: List[int] = [0] * config.num_sms
-
-    # Non-blocking replays and warmed reruns reuse the reference
-    # engine's generic drivers verbatim (duck-typed: FastL1DCache exposes
-    # access/fill/miss_queue/stats) — the per-record protocol then
-    # touches the packed caches exactly as it touches the reference ones.
-    access = ReplayEngine.access
-    _access_blocking = ReplayEngine._access_blocking
-    _access_non_blocking = ReplayEngine._access_non_blocking
-    _insn_id = ReplayEngine._insn_id
-    _count_send = ReplayEngine._count_send
-    flush = ReplayEngine.flush
 
     def run(self, records: Iterable[TraceRecord]) -> SimResult:
-        if self.non_blocking or any(
-            c._stamp or c.stats.loads or c.stats.stores for c in self.caches
-        ):
-            return ReplayEngine.run(self, records)  # type: ignore[arg-type]
         # Imported lazily: repro.batchsim.engine builds on this module.
         from repro.batchsim import engine as batch
 
@@ -96,4 +71,3 @@ class FastReplayEngine:
         # expose .stats and .policy.stats(), which is all it reads —
         # guaranteeing the assembled SimResult matches field for field.
         return ReplayEngine.result(self)  # type: ignore[arg-type]
-

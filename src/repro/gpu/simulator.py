@@ -133,7 +133,6 @@ class GpuSimulator:
         config: GPUConfig,
         policy_factory: Callable[[], CachePolicy],
         max_cycles: Optional[int] = None,
-        engine: str = "reference",
     ):
         self.kernels: List[Kernel] = as_kernel_list(kernels)
         if not self.kernels:
@@ -168,7 +167,6 @@ class GpuSimulator:
                 self.schedule,
                 self._make_send(sm_id),
                 self._on_cta_done,
-                engine=engine,
             )
             for sm_id in range(config.num_sms)
         ]

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.cache.l1d import FetchRequest
+from repro.cache.l1d import FetchRequest, L1DCache
 from repro.core.policy import CachePolicy
-from repro.fastsim import make_l1d
 from repro.gpu.coalescer import coalesce
 from repro.gpu.config import GPUConfig
 from repro.gpu.isa import ComputeOp, MemOp
@@ -49,14 +48,12 @@ class StreamingMultiprocessor:
         schedule: Callable[[int, Callable[[], None]], None],
         send_fetch: Callable[[FetchRequest], None],
         on_cta_done: Callable[["StreamingMultiprocessor"], None],
-        engine: str = "reference",
     ):
         self.sm_id = sm_id
         self.config = config
         self.schedule = schedule
         self.on_cta_done = on_cta_done
-        self.l1d = make_l1d(
-            engine,
+        self.l1d = L1DCache(
             config.l1d.geometry(),
             policy,
             send_fn=send_fetch,
@@ -66,9 +63,7 @@ class StreamingMultiprocessor:
             sm_id=sm_id,
             non_blocking=config.l1d.non_blocking,
         )
-        # The policy-side surface the simulator talks to: the policy
-        # instance itself (reference) or the packed-state facade (fast).
-        self.policy = self.l1d.policy
+        self.policy = policy
         self.schedulers = [
             make_scheduler(config.scheduler, i) for i in range(config.schedulers_per_sm)
         ]

@@ -81,7 +81,7 @@ class UnitSpec:
     max_cycles: Optional[int] = None
     policy_kwargs: Tuple[Tuple[str, Any], ...] = ()
     #: Non-blocking L1D mode.  Part of the semantics, so (unlike the
-    #: engine) it flows into the cell's config and its store key.
+    #: replay engine) it flows into the cell's config and its store key.
     non_blocking: bool = False
 
     def _config(self) -> Optional[GPUConfig]:
@@ -89,12 +89,8 @@ class UnitSpec:
             return None
         return GPUConfig().scaled(self.num_sms).with_l1d(non_blocking=True)
 
-    def cell(self, engine: str = "reference") -> Cell:
-        """The executor-level cell (timing-simulation units only).
-
-        ``engine`` is the scheduler's deployment-wide L1D engine choice;
-        it never enters the cell's key (the engines are bit-identical).
-        """
+    def cell(self) -> Cell:
+        """The executor-level cell (timing-simulation units only)."""
         return Cell.make(
             self.abbr,
             self.scheme,
@@ -103,7 +99,6 @@ class UnitSpec:
             seed=self.seed,
             max_cycles=self.max_cycles,
             config=self._config(),
-            engine=engine,
             **dict(self.policy_kwargs),
         )
 

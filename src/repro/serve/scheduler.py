@@ -124,8 +124,9 @@ class Scheduler:
     trace_dir:
         Shared trace directory for replay units (record-once).
     engine:
-        L1D implementation the workers run (``reference`` or ``fast``).
-        A deployment-wide choice, never part of a unit's content address
+        Replay engine the workers run for replay units (``reference``
+        or ``fast``; timing cells always run the reference L1D).  A
+        deployment-wide choice, never part of a unit's content address
         — the engines are bit-identical, so cells computed by either
         resolve (and warm) the same store entries.
     pool / sim_fn / replay_fn / predict_fn:
@@ -455,7 +456,7 @@ class Scheduler:
                 )
             else:
                 payload = await loop.run_in_executor(
-                    self._pool, self._sim_fn, spec.cell(self.engine)
+                    self._pool, self._sim_fn, spec.cell()
                 )
         except asyncio.CancelledError:
             raise

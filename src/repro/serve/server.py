@@ -238,7 +238,8 @@ async def serve_async(
 
     ``store`` is anything :func:`repro.experiments.store.open_store`
     accepts — or an already-open store object.  ``engine`` picks the
-    workers' L1D implementation (results are engine-independent).
+    workers' replay engine for replay units (results are
+    engine-independent; timing cells always run the reference L1D).
     ``max_queued``/``rate``/``burst`` configure the cluster scheduler's
     admission control (0/None = off).  Returns the process exit code
     (0 = drained clean, 1 = drain timed out, remaining jobs cancelled).

@@ -30,7 +30,8 @@ the differential oracle (`tests/trace/test_record_replay.py`) holds both.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (Deque, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.cache.l1d import L1DCache, L1DStats, MemAccess
 from repro.core import make_policy
@@ -277,9 +278,13 @@ def _resolve(scheme: Union[str, CachePolicy, None], config: GPUConfig,
     return config, (lambda: make_policy(name, **policy_kwargs))
 
 
-def _make_engine(engine: str, config: GPUConfig, factory) -> "ReplayEngine":
-    """Build the selected replay engine (both share run()/result())."""
-    if validate_engine(engine) == "fast":
+def make_replay_engine(engine: str, config: GPUConfig,
+                       factory) -> "ReplayEngine":
+    """Build the selected replay engine (both share run()/result()).
+
+    The packed engine replays blocking L1Ds only, so a non-blocking
+    ``fast`` replay runs the reference engine."""
+    if validate_engine(engine) == "fast" and not config.l1d.non_blocking:
         # Imported lazily: repro.fastsim.replay imports this module.
         from repro.fastsim.replay import FastReplayEngine
 
@@ -312,7 +317,7 @@ def replay_records(
 ) -> SimResult:
     """Replay an in-memory record stream through one scheme."""
     config, factory = _resolve(scheme, config, **policy_kwargs)
-    return _make_engine(engine, config, factory).run(records)
+    return make_replay_engine(engine, config, factory).run(records)
 
 
 def replay_trace(
@@ -333,7 +338,7 @@ def replay_trace(
         config = GPUConfig().scaled(reader.num_sms)
     check_trace_fits(reader, config)
     config, factory = _resolve(scheme, config, **policy_kwargs)
-    replay_engine = _make_engine(engine, config, factory)
+    replay_engine = make_replay_engine(engine, config, factory)
     # The reader itself, not an iterator over it: the fast engine
     # decodes a whole trace vectorized.
     result = replay_engine.run(reader)
@@ -350,6 +355,38 @@ def replay_trace(
             f"its header was edited"
         )
     return result
+
+
+def replay_lanes(
+    source: Union[TraceReader, Sequence[TraceRecord]],
+    lanes: Sequence[Tuple[Union[str, object], Dict[str, object]]],
+    config: Optional[GPUConfig] = None,
+    engine: str = "reference",
+) -> List[SimResult]:
+    """Replay each ``(scheme, policy_kwargs)`` lane over one source.
+
+    Under the packed engine every lane runs in one
+    :func:`~repro.batchsim.engine.replay_batch` pass over one decode of
+    ``source``; under the reference engine the lanes replay one by one.
+    ``source`` is a :class:`TraceReader` (``config`` defaults to its
+    header's machine, as for :func:`replay_trace`) or an in-memory
+    record sequence (``config`` required).  Results are in lane order
+    and identical under either engine.
+    """
+    if config is None:
+        if not isinstance(source, TraceReader):
+            raise ValueError("replaying in-memory records needs a config")
+        config = GPUConfig().scaled(source.num_sms)
+    if validate_engine(engine) == "fast":
+        # Imported lazily: repro.batchsim.engine imports this module.
+        from repro.batchsim.engine import replay_batch
+
+        return replay_batch(source, lanes, config)
+    if isinstance(source, TraceReader):
+        return [replay_trace(source, scheme, config, **kwargs)
+                for scheme, kwargs in lanes]
+    return [replay_records(iter(source), config, scheme, **kwargs)
+            for scheme, kwargs in lanes]
 
 
 def replay_workload(

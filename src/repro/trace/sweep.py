@@ -37,7 +37,7 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import SimResult
 from repro.trace.format import TraceReader
 from repro.trace.record import record_workload
-from repro.trace.replay import replay_records, replay_trace
+from repro.trace.replay import replay_lanes
 from repro.workloads import make_workload
 
 
@@ -221,14 +221,7 @@ class ReplaySweepExecutor:
             source = self._get_or_record(abbr, config, scale, seed,
                                          len(missing))
             lanes = [(scheme, kwargs) for _, _, scheme, kwargs in missing]
-            if self.engine == "reference":
-                replayed = [self._replay_reference(source, config, scheme,
-                                                   kwargs)
-                            for scheme, kwargs in lanes]
-            else:
-                from repro.batchsim.engine import replay_batch
-
-                replayed = replay_batch(source, lanes, config)
+            replayed = replay_lanes(source, lanes, config, self.engine)
             self.stats.replayed += len(missing)
             for (idx, key, scheme, _), result in zip(missing, replayed):
                 self.store.put(
@@ -237,13 +230,6 @@ class ReplaySweepExecutor:
                 )
                 results[idx] = result
         return cast(List[SimResult], results)
-
-    @staticmethod
-    def _replay_reference(source, config: GPUConfig, scheme: str,
-                          policy_kwargs: Dict[str, Any]) -> SimResult:
-        if isinstance(source, TraceReader):
-            return replay_trace(source, scheme, config, **policy_kwargs)
-        return replay_records(iter(source), config, scheme, **policy_kwargs)
 
     def run_cell(
         self,

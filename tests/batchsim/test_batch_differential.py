@@ -156,22 +156,32 @@ def test_unknown_engine_still_rejected(captured):
         replay_records(iter(records), config, "baseline", engine="turbo")
 
 
-def test_warmed_cache_falls_back(captured):
-    """The kernels require a fresh cache; a second run() on the same
-    engine must fall back to the per-record path, not corrupt state:
-    its result equals the reference engine's second run."""
+def test_warmed_cache_rerun_raises(captured):
+    """The kernels require a fresh cache: a second run() on the same
+    engine raises instead of replaying over warmed state."""
     from repro.fastsim.replay import FastReplayEngine
-    from repro.trace.replay import ReplayEngine, _resolve
+    from repro.trace.replay import _resolve
 
     config, records = captured
     lane_config, factory = _resolve("dlp", config)
     engine = FastReplayEngine(lane_config, factory)
-    reference = ReplayEngine(lane_config, factory)
     engine.run(iter(records))
-    reference.run(iter(records))
-    second = engine.run(iter(records))  # warmed: per-record fallback
-    assert_results_identical(reference.run(iter(records)), second,
-                             label="warmed/second-run")
+    with pytest.raises(ValueError, match="require a fresh cache"):
+        engine.run(iter(records))
+
+
+def test_packed_engine_refuses_non_blocking(captured):
+    """The packed engine has no non-blocking protocol; building one for
+    a non-blocking L1D is an error (the front doors route those replays
+    to the reference engine)."""
+    from repro.fastsim.replay import FastReplayEngine
+    from repro.trace.replay import _resolve
+
+    config, _ = captured
+    lane_config, factory = _resolve(
+        "dlp", config.with_l1d(non_blocking=True))
+    with pytest.raises(ValueError, match="blocking L1Ds only"):
+        FastReplayEngine(lane_config, factory)
 
 
 @pytest.mark.parametrize("engine",

@@ -1,6 +1,6 @@
-"""Tests for the engine-parity extractor and its committed manifest.
+"""Tests for the policy-surface parity extractor and its manifest.
 
-The live extraction must satisfy the cross-engine laws and match the
+The live extraction must satisfy the parity laws and match the
 committed ``parity_manifest.json`` byte-for-byte; mutated copies must be
 flagged with actionable messages.  ``classify_guard`` — the heart of
 R007 — is unit-tested on expression fixtures directly.
@@ -38,12 +38,13 @@ class TestLiveExtraction:
         assert json.loads(json.dumps(current)) == load_parity()
 
     def test_extraction_has_all_surfaces(self, current):
-        defaults = current["knob_defaults"]
-        assert set(defaults) == {
-            "reference.dlp", "reference.global_protection", "fastsim.spec",
+        # override fallbacks live in the reference policies only: the
+        # packed engine reads resolved knobs off a reference policy
+        assert set(current["override_guards"]) == {
+            "repro/core/dlp.py", "repro/core/global_protection.py",
         }
-        assert all(isinstance(t, dict) for t in defaults.values())
         assert current["hw_widths"], "no @hw_checked declarations extracted"
+        assert current["packed_correspondence"]
         assert current["fastsim_constant_redefinitions"] == []
 
     def test_width_table_matches_contracts(self, current):
@@ -51,12 +52,6 @@ class TestLiveExtraction:
 
 
 class TestConsistencyOnDrift:
-    def test_knob_default_drift_is_flagged(self, current):
-        mutated = copy.deepcopy(current)
-        mutated["knob_defaults"]["fastsim.spec"]["pd_bits"] = 5
-        problems = check_consistency(mutated)
-        assert any("knob default drift for 'pd_bits'" in p for p in problems)
-
     def test_or_truthiness_guard_is_flagged(self, current):
         mutated = copy.deepcopy(current)
         mutated["override_guards"]["repro/core/seeded.py"] = {

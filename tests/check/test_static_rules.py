@@ -109,7 +109,7 @@ class TestR007OverrideGuard:
             def resolve(spec, assoc):
                 return spec.vta_assoc if spec.vta_assoc else assoc
             """,
-            relpath="repro/fastsim/seeded.py",
+            relpath="repro/core/seeded.py",
         )
         assert "R007" in rules_of(fs)
 
@@ -120,7 +120,7 @@ class TestR007OverrideGuard:
             def resolve(spec, assoc):
                 return spec.vta_assoc if spec.vta_assoc is not None else assoc
             """,
-            relpath="repro/fastsim/seeded.py",
+            relpath="repro/core/seeded.py",
         )
         assert "R007" not in rules_of(fs)
 

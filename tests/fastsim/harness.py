@@ -1,23 +1,22 @@
 """Shared driver for the engine-differential tests.
 
-:func:`drive_stream` pushes one deterministic access stream through an
-L1D built by either engine (``reference`` or ``fast``) using the exact
-protocol loop of the golden-trace harness — bounded misses in flight,
-in-place stall retries, periodic instruction notifications — and
-returns a full counter snapshot.  Two engines are equivalent iff their
-snapshots match bit for bit on every stream and every ablation knob.
+:func:`drive_stream` replays one deterministic access stream on a
+one-SM machine with a small L1D through the replay engine
+:func:`repro.trace.replay.replay_records` would build for either
+engine name (``reference`` or ``fast``), and returns a full snapshot:
+the whole :class:`~repro.gpu.simulator.SimResult` plus the final
+protection distances.  Two engines are equivalent iff their snapshots
+match bit for bit on every stream and every ablation knob.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.cache.l1d import AccessOutcome, MemAccess
 from repro.cache.tagarray import CacheGeometry
 from repro.core import make_policy
-from repro.fastsim import make_l1d
-from repro.utils.hashing import hash_pc
+from repro.gpu.config import GPUConfig
+from repro.trace.replay import make_replay_engine
 from repro.utils.rng import DeterministicRng
 
 Stream = Iterable[Tuple[int, int, bool]]
@@ -80,102 +79,45 @@ def thrash_stream(length: int = 600, working_set: int = 24):
             for i in range(length)]
 
 
-#: Non-blocking discipline: accesses a fetch stays outstanding before
-#: its fill lands (mirrors ``repro.trace.replay.NB_FILL_WINDOW``).
-NB_WINDOW = 24
+def small_config(non_blocking: bool = False) -> GPUConfig:
+    """One SM whose L1D has the :data:`SMALL_GEOMETRY` layout and a
+    small MSHR, so protection, bypass and stall paths all engage."""
+    g = SMALL_GEOMETRY
+    return GPUConfig().scaled(1).with_l1d(
+        num_sets=g.num_sets, assoc=g.assoc, line_size=g.line_size,
+        index_fn=g.index_fn, mshr_entries=8, mshr_merge=4,
+        miss_queue_depth=8, non_blocking=non_blocking,
+    )
 
 
 def drive_stream(
     policy_name: str,
     engine: str,
     stream: Optional[Stream] = None,
-    geometry: Optional[CacheGeometry] = None,
-    resets_at: Tuple[int, ...] = (),
     non_blocking: bool = False,
     **policy_kwargs,
 ) -> Dict:
-    """Run one stream through one (policy, engine) pair; return the
-    snapshot.  ``resets_at`` lists access indices before which
-    ``policy.reset()`` fires (the between-kernel path).
-
-    ``non_blocking`` switches the drive discipline to the windowed-fill
-    model of the non-blocking replay engine: misses stay outstanding for
-    :data:`NB_WINDOW` accesses (RESERVED lines persist between
-    accesses, MSHR merging and resource stalls materialise) instead of
-    the bounded-4-in-flight blocking loop."""
-    policy = make_policy(policy_name, **policy_kwargs)
-    cache = make_l1d(
-        engine,
-        geometry or SMALL_GEOMETRY,
-        policy,
-        mshr_entries=8,
-        mshr_merge=4,
-        miss_queue_depth=8,
-        non_blocking=non_blocking,
+    """Replay one stream through one (policy, engine) pair; return the
+    snapshot.  ``non_blocking`` replays against the non-blocking L1D
+    (windowed fills: RESERVED lines persist between accesses, MSHR
+    merging and resource stalls materialise), which the reference
+    engine runs under either engine name."""
+    accesses = stream if stream is not None else golden_stream()
+    replay = make_replay_engine(
+        engine, small_config(non_blocking),
+        lambda: make_policy(policy_name, **policy_kwargs),
     )
-    outstanding: deque = deque()
-
-    def fill_oldest() -> bool:
-        if not outstanding:
-            return False
-        entry = outstanding.popleft()
-        cache.fill(entry[1] if non_blocking else entry, now=0)
-        return True
-
-    accesses = list(stream if stream is not None else golden_stream())
-    for step, (block, pc, is_write) in enumerate(accesses):
-        if step in resets_at:
-            while fill_oldest():
-                pass
-            cache.drain_miss_queue(8)
-            cache.policy.reset()
-        if non_blocking:
-            while outstanding and outstanding[0][0] + NB_WINDOW <= step:
-                fill_oldest()
-        access = MemAccess(
-            block_addr=block, pc=pc, insn_id=hash_pc(pc),
-            is_write=is_write, now=step,
-        )
-        result = cache.access(access)
-        retries = 0
-        while result.is_stall:
-            if fill_oldest():
-                cache.drain_miss_queue(8)
-            else:
-                # nothing to fill: a NO_RESERVABLE_LINE stall that only
-                # converges through per-retry PL decay (bounded by the
-                # PL width; 4096 turns a model bug into a loud error)
-                retries += 1
-                if retries > 4096:
-                    raise RuntimeError(f"non-converging stall: {access}")
-            result = cache.access(access)
-        if result.outcome is AccessOutcome.MISS:
-            outstanding.append((step, block) if non_blocking else block)
-        cache.drain_miss_queue(2)
-        if not non_blocking:
-            while len(outstanding) > 4:
-                fill_oldest()
-        if step % 8 == 7:
-            cache.policy.notify_instructions(64)
-    while fill_oldest():
-        pass
-    cache.drain_miss_queue(8)
-    return snapshot(cache, policy_name)
-
-
-def snapshot(cache, policy_name: str) -> Dict:
-    """Full engine-visible state: L1D raw counters, policy stats, PDs."""
+    result = replay.run(
+        [(0, block, pc, is_write, 0) for block, pc, is_write in accesses]
+    )
+    policy = replay.caches[0].policy
     if policy_name == "dlp":
         final_pds = {
             str(insn_id): entry["pd"]
-            for insn_id, entry in sorted(cache.policy.pd_snapshot().items())
+            for insn_id, entry in sorted(policy.pd_snapshot().items())
         }
     elif policy_name == "global_protection":
-        final_pds = {"global": cache.policy.global_pd}
+        final_pds = {"global": policy.global_pd}
     else:
         final_pds = {}
-    return {
-        "l1d": cache.stats.to_raw_dict(),
-        "policy": {k: v for k, v in sorted(cache.policy.stats().items())},
-        "final_pds": final_pds,
-    }
+    return {**result.to_dict(), "final_pds": final_pds}

@@ -16,14 +16,58 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
+from repro.cache.l1d import AccessOutcome, L1DCache, MemAccess
 from repro.core import make_policy
+from repro.utils.hashing import hash_pc
 
-from tests.fastsim.harness import drive_stream, thrash_stream
+from tests.fastsim.harness import (
+    SMALL_GEOMETRY,
+    drive_stream,
+    golden_stream,
+    thrash_stream,
+)
 
 PROTECTED = ("global_protection", "dlp")
-POLICIES = ("baseline", "stall_bypass", "global_protection", "dlp")
+
+
+def _drive_kernels(policy, resets_at=()):
+    """Drive the golden stream through a reference L1D (at most 4 misses
+    in flight, instruction notifications every 8 accesses), draining and
+    firing ``policy.reset()`` — the kernel boundary — before each access
+    index in ``resets_at``.  Returns the cache."""
+    cache = L1DCache(SMALL_GEOMETRY, policy, mshr_entries=8, mshr_merge=4,
+                     miss_queue_depth=8)
+    outstanding: deque = deque()
+
+    def drain() -> None:
+        while outstanding:
+            cache.fill(outstanding.popleft(), now=0)
+        cache.drain_miss_queue(8)
+
+    for step, (block, pc, is_write) in enumerate(golden_stream()):
+        if step in resets_at:
+            drain()
+            policy.reset()
+        access = MemAccess(block_addr=block, pc=pc, insn_id=hash_pc(pc),
+                           is_write=is_write, now=step)
+        result = cache.access(access)
+        while result.is_stall:
+            cache.fill(outstanding.popleft(), now=0)
+            cache.drain_miss_queue(8)
+            result = cache.access(access)
+        if result.outcome is AccessOutcome.MISS:
+            outstanding.append(block)
+        cache.drain_miss_queue(2)
+        while len(outstanding) > 4:
+            cache.fill(outstanding.popleft(), now=0)
+        if step % 8 == 7:
+            policy.notify_instructions(64)
+    drain()
+    return cache
 
 
 # ----------------------------------------------------------------------
@@ -57,9 +101,6 @@ def test_nasc_zero_differs_from_default(policy):
 def test_nasc_attribute_after_attach(policy):
     """Unit-level: the resolved step size is literally 0 (and literally
     the override) once the VTA attaches."""
-    from repro.cache.l1d import L1DCache, MemAccess
-    from tests.fastsim.harness import SMALL_GEOMETRY
-
     frozen = make_policy(policy, nasc=0)
     override = make_policy(policy, nasc=3)
     for p in (frozen, override):
@@ -78,34 +119,8 @@ def test_nasc_attribute_after_attach(policy):
 
 @pytest.mark.parametrize("policy", PROTECTED)
 def test_reset_preserves_stats_and_clears_state(policy):
-    from collections import deque
-
-    from repro.cache.l1d import AccessOutcome, L1DCache, MemAccess
-    from repro.utils.hashing import hash_pc
-    from tests.fastsim.harness import SMALL_GEOMETRY, golden_stream
-
     p = make_policy(policy)
-    cache = L1DCache(SMALL_GEOMETRY, p, mshr_entries=8, mshr_merge=4,
-                     miss_queue_depth=8)
-    outstanding: deque = deque()
-    for step, (block, pc, is_write) in enumerate(golden_stream()):
-        access = MemAccess(block_addr=block, pc=pc, insn_id=hash_pc(pc),
-                           is_write=is_write, now=step)
-        result = cache.access(access)
-        while result.is_stall:
-            cache.fill(outstanding.popleft(), now=0)
-            cache.drain_miss_queue(8)
-            result = cache.access(access)
-        if result.outcome is AccessOutcome.MISS:
-            outstanding.append(block)
-        cache.drain_miss_queue(2)
-        while len(outstanding) > 4:
-            cache.fill(outstanding.popleft(), now=0)
-        if step % 8 == 7:
-            p.notify_instructions(64)
-    while outstanding:
-        cache.fill(outstanding.popleft(), now=0)
-    cache.drain_miss_queue(8)
+    _drive_kernels(p)
 
     stats_before = dict(p.stats())
     assert stats_before["samples_completed"] > 0
@@ -135,22 +150,14 @@ def test_reset_preserves_stats_and_clears_state(policy):
         assert all(not e.valid for row in p.vta.sets for e in row)
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_two_kernel_run_identical_across_engines(policy):
-    """A reset mid-stream (the kernel boundary) behaves identically in
-    both engines: same post-reset state, same cumulative stats."""
-    reference = drive_stream(policy, "reference", resets_at=(300,))
-    fast = drive_stream(policy, "fast", resets_at=(300,))
-    assert fast == reference
-
-
 @pytest.mark.parametrize("policy", PROTECTED)
 def test_two_kernel_stats_accumulate(policy):
     """Kernel 2 adds to kernel 1's counters instead of restarting them."""
-    one_kernel = drive_stream(policy, "reference")
-    two_kernels = drive_stream(policy, "reference", resets_at=(300,))
-    assert two_kernels["policy"]["samples_completed"] >= \
-        one_kernel["policy"]["samples_completed"] // 2
+    one, two = make_policy(policy), make_policy(policy)
+    one_kernel = _drive_kernels(one)
+    two_kernels = _drive_kernels(two, resets_at=(300,))
+    assert two.stats()["samples_completed"] >= \
+        one.stats()["samples_completed"] // 2
     # cumulative across the boundary: more stream, never a restart from
     # zero at the boundary (the L1D counters are untouched by reset)
-    assert two_kernels["l1d"]["loads"] == one_kernel["l1d"]["loads"]
+    assert two_kernels.stats.loads == one_kernel.stats.loads

@@ -1,20 +1,21 @@
-"""The fast engine is bit-identical to the reference, access by access.
+"""The fast engine's replays are bit-identical to the reference's.
 
-Every test drives the same deterministic stream through
-:class:`repro.cache.l1d.L1DCache` and
-:class:`repro.fastsim.engine.FastL1DCache` and requires identical
-snapshots: all thirteen raw L1D counters, every policy stat, and the
-final protection distances.  The grid covers all four policies and the
-ablation knobs the paper sweeps (PL width, VTA associativity, NASC,
-bypass gating, sampling period), plus fuzzed random streams so the
-equivalence is not an artifact of one access pattern.
+Every test replays the same deterministic stream through the reference
+engine and the packed engine and requires identical snapshots: the
+whole result (all raw L1D counters, every policy stat, the interconnect
+totals) and the final protection distances.  The grid covers all four
+policies and the ablation knobs the paper sweeps (PL width, VTA
+associativity, NASC, bypass gating, sampling period), plus fuzzed
+random streams so the equivalence is not an artifact of one access
+pattern.  Non-blocking replays selected as ``fast`` run the reference
+engine; their cases check that routing against a reference replay.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.fastsim import ENGINES, make_l1d, validate_engine
+from repro.fastsim import ENGINES, validate_engine
 from repro.fastsim.engine import PolicySpec
 
 from tests.fastsim.harness import (
@@ -67,7 +68,8 @@ def test_golden_stream_identical_non_blocking(policy, kwargs):
     """The full 17-cell ablation grid again, under the non-blocking
     windowed-fill discipline: RESERVED lines persist across accesses,
     secondary misses merge in the MSHR, and resource stalls materialise.
-    Both engines must still agree bit for bit."""
+    A ``fast`` replay of it runs the reference engine and must agree
+    bit for bit."""
     reference = drive_stream(policy, "reference", non_blocking=True,
                              **kwargs)
     fast = drive_stream(policy, "fast", non_blocking=True, **kwargs)
@@ -123,24 +125,27 @@ def test_engine_registry():
         assert validate_engine(engine) == engine
     with pytest.raises(ValueError, match="unknown engine"):
         validate_engine("warp")
-    with pytest.raises(ValueError, match="unknown engine"):
-        make_l1d("warp", SMALL_GEOMETRY, None)
 
 
 def test_policy_spec_round_trip():
-    """PolicySpec captures every knob the fast engine inlines."""
+    """PolicySpec captures every knob the kernels read, with the
+    optional ones resolved by the reference policy."""
     from repro.core import make_policy
 
-    policy = make_policy("dlp", sample_limit=50, insn_sample_limit=500,
-                         vta_assoc=2, pd_bits=3, nasc=0,
-                         bypass_enabled=False)
-    spec = PolicySpec.from_policy(policy)
+    policy = make_policy("dlp", sample_limit=50, vta_assoc=2, pd_bits=3,
+                         nasc=0, bypass_enabled=False)
+    spec = PolicySpec.from_policy(policy, SMALL_GEOMETRY)
     assert spec.sample_limit == 50
-    assert spec.insn_sample_limit == 500
     assert spec.vta_assoc == 2
     assert spec.pd_bits == 3
     assert spec.nasc == 0
     assert spec.bypass_enabled is False
+    # unset optional knobs fall back as in the reference: the VTA takes
+    # the cache associativity and Nasc the VTA associativity
+    spec = PolicySpec.from_policy(make_policy("global_protection"),
+                                  SMALL_GEOMETRY)
+    assert spec.vta_assoc == SMALL_GEOMETRY.assoc
+    assert spec.nasc == SMALL_GEOMETRY.assoc
 
 
 def test_fast_engine_rejects_unknown_policy():
@@ -148,7 +153,7 @@ def test_fast_engine_rejects_unknown_policy():
         name = "alien"
 
     with pytest.raises(ValueError, match="alien"):
-        PolicySpec.from_policy(Alien())
+        PolicySpec.from_policy(Alien(), SMALL_GEOMETRY)
 
 
 def test_streams_are_deterministic():

@@ -1,8 +1,8 @@
 """Fast engine equivalence through every wired entry point.
 
-The engine selector threads through the timing simulator, the sweep
-executor, trace replay, the replay sweep and the serve worker; each
-path must produce bit-identical results under either engine, and the
+The engine selector threads through trace replay, the replay sweep and
+the serve worker (timing runs always use the reference L1D); each path
+must produce bit-identical results under either engine, and the
 result-store keys must never depend on the engine (the whole point of
 excluding an execution detail from a result's identity).
 """
@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.executor import Cell, SweepExecutor
 from repro.gpu.config import GPUConfig
 from repro.trace.record import capture_records
-from repro.trace.replay import ReplayEngine, _resolve, replay_records
+from repro.trace.replay import (
+    ReplayEngine,
+    _resolve,
+    make_replay_engine,
+    replay_records,
+)
 from repro.trace.sweep import ReplaySweepExecutor
 from repro.workloads import make_workload
 
@@ -75,49 +79,47 @@ def test_fast_replay_engine_counts_match(captured):
     assert fast.sent_writes == reference.sent_writes
 
 
+def test_non_blocking_fast_replay_runs_reference(captured):
+    """The packed engine replays blocking L1Ds only: a non-blocking
+    ``fast`` replay is a reference replay, result for result."""
+    config, records = captured
+    nb = config.with_l1d(non_blocking=True)
+    _, factory = _resolve("dlp", nb)
+    assert type(make_replay_engine("fast", nb, factory)) is ReplayEngine
+    reference = replay_records(iter(records), nb, "dlp", engine="reference")
+    fast = replay_records(iter(records), nb, "dlp", engine="fast")
+    assert reference.l1d.hit_reserved > 0
+    assert_results_identical(reference, fast, label="non-blocking/dlp")
+
+
 def test_replay_rejects_unknown_engine(captured):
     config, records = captured
     with pytest.raises(ValueError, match="unknown engine"):
         replay_records(iter(records), config, "baseline", engine="turbo")
 
 
-def test_timing_sweep_identical():
-    """Full timing path (GPU front end + LD/ST + memory system) through
-    the sweep executor, both engines, all four schemes."""
-    grids = {}
-    for engine in ("reference", "fast"):
-        executor = SweepExecutor()
-        grids[engine] = executor.run_sweep(
-            ["MM", "BT"], SCHEMES, num_sms=1, scale=0.1, engine=engine
-        )
-    for app, per_scheme in grids["reference"].items():
-        for scheme, reference in per_scheme.items():
-            assert_results_identical(
-                reference, grids["fast"][app][scheme],
-                label=f"{app}/{scheme}",
-            )
-
-
 def test_cell_key_excludes_engine():
-    """Store identity is engine-independent: either engine's results
-    warm the other's cells."""
-    a = Cell.make("MM", "dlp", num_sms=1, scale=0.1, engine="reference")
-    b = Cell.make("MM", "dlp", num_sms=1, scale=0.1, engine="fast")
-    assert a.key() == b.key()
-    assert a.fingerprint() == b.fingerprint()
-    assert a.meta() == b.meta()
+    """Store identity is engine-independent: replayed cells land under
+    the same keys and meta whichever engine computed them."""
+    listings = {}
+    for engine in ("reference", "fast"):
+        executor = ReplaySweepExecutor(engine=engine)
+        executor.run_sweep(["MM"], SCHEMES, num_sms=1, scale=0.1)
+        listings[engine] = executor.store.ls()
+    assert len(listings["fast"]) == len(SCHEMES)
+    assert listings["fast"] == listings["reference"]
 
 
 def test_fast_results_warm_reference_store():
-    """A store populated by the fast engine short-circuits a reference
-    run of the same cell (and vice versa)."""
-    executor = SweepExecutor()
-    fast_cell = Cell.make("MM", "dlp", num_sms=1, scale=0.1, engine="fast")
-    ref_cell = Cell.make("MM", "dlp", num_sms=1, scale=0.1)
-    first = executor.run_cell(fast_cell)
-    second = executor.run_cell(ref_cell)
-    assert executor.stats.simulated == 1
-    assert executor.stats.store_hits == 1
+    """A store populated by fast replays short-circuits a reference
+    replay of the same cell: replay keys never include the engine."""
+    fast = ReplaySweepExecutor(engine="fast")
+    first = fast.run_cell("MM", "dlp", num_sms=1, scale=0.1)
+    reference = ReplaySweepExecutor(store=fast.store)
+    second = reference.run_cell("MM", "dlp", num_sms=1, scale=0.1)
+    assert fast.stats.replayed == 1
+    assert reference.stats.replayed == 0
+    assert reference.stats.store_hits == 1
     assert_results_identical(first, second, label="store warm-through")
 
 
@@ -149,17 +151,15 @@ def test_serve_replay_unit_identical(tmp_path):
 
 def test_serve_scheduler_stamps_engine():
     """The scheduler injects its deployment-wide engine into replay
-    worker payloads and timing cells."""
-    from repro.serve.protocol import MODE_REPLAY, MODE_SIM, UnitSpec
+    worker payloads only; the unit's key, which the scheduler coalesces
+    on, never carries it."""
+    from repro.serve.protocol import MODE_REPLAY, UnitSpec
     from repro.serve.scheduler import Scheduler
 
     scheduler = Scheduler(engine="fast")
-    sim_spec = UnitSpec(mode=MODE_SIM, abbr="MM", scheme="dlp")
-    assert sim_spec.cell(scheduler.engine).engine == "fast"
-    # the key the scheduler coalesces on ignores the engine
-    assert sim_spec.cell("fast").key() == sim_spec.cell("reference").key()
     replay_spec = UnitSpec(mode=MODE_REPLAY, abbr="MM", scheme="dlp")
     payload = dict(replay_spec.worker_payload())
+    assert "engine" not in payload
     payload["engine"] = scheduler.engine
     assert payload["engine"] == "fast"
 

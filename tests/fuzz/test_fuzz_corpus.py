@@ -3,14 +3,16 @@
 Twenty seeded adversarial streams (generators round-robin over
 ATH/APC/APH/ABS, seeds 0..19) are each checked two ways:
 
-* **differential** — reference vs fast engine over every scheme x
-  MSHR-mode grid point must be bit-identical; a mismatch is minimized
-  to its shortest failing prefix and the repro line lands in the
-  assertion message;
-* **pinned** — the reference result's sha256 must match
-  ``tests/fuzz/corpus.json``, so an unintentional semantic change to
-  either engine (which would move both in lockstep and slip past the
-  differential check) still fails loudly.
+* **differential** — reference vs fast engine under every scheme on the
+  blocking L1D must be bit-identical; a mismatch is minimized to its
+  shortest failing prefix and the repro line lands in the assertion
+  message.  Non-blocking replays run the reference engine under either
+  engine name, so there is no second engine to compare there;
+* **pinned** — the reference result's sha256 over every scheme x
+  MSHR-mode grid point must match ``tests/fuzz/corpus.json``, so an
+  unintentional semantic change to either engine (which would move
+  both in lockstep and slip past the differential check) still fails
+  loudly.
 
 Regenerate the pins after an *intentional* semantic change with::
 
@@ -29,7 +31,6 @@ import pytest
 
 import repro.experiments.fuzz as fuzz_mod
 from repro.experiments.fuzz import (
-    FUZZ_MODES,
     FUZZ_SCHEMES,
     FuzzCase,
     fuzz_cases,
@@ -47,6 +48,9 @@ CORPUS_PATH = Path(__file__).parent / "corpus.json"
 CORPUS_STREAMS = 20
 CORPUS_SCALE = 0.5
 
+#: MSHR modes pinned in the corpus (blocking, non-blocking).
+CORPUS_MODES = (False, True)
+
 
 def _case_id(case: FuzzCase) -> str:
     return f"{case.generator}-s{case.seed}"
@@ -62,8 +66,8 @@ def corpus_cases():
 
 def build_corpus() -> dict:
     """Reference-engine fingerprints for every corpus grid point, with
-    the differential check (and prefix minimization on failure) folded
-    into the same pass."""
+    the blocking differential check (and prefix minimization on
+    failure) folded into the same pass."""
     register_adversarial_workloads()
     corpus = {}
     for case in corpus_cases():
@@ -72,14 +76,15 @@ def build_corpus() -> dict:
             fuzz_config(case.num_sms),
         )
         checks = {}
-        for non_blocking in FUZZ_MODES:
+        for non_blocking in CORPUS_MODES:
             config = fuzz_config(case.num_sms, non_blocking=non_blocking)
             for scheme in FUZZ_SCHEMES:
                 ref = replay_records(iter(records), config, scheme)
-                fast = replay_records(iter(records), config, scheme,
-                                      engine="fast")
                 ref_fp = fuzz_mod._fingerprint(ref)
-                fast_fp = fuzz_mod._fingerprint(fast)
+                fast_fp = ref_fp
+                if not non_blocking:
+                    fast_fp = fuzz_mod._fingerprint(replay_records(
+                        iter(records), config, scheme, engine="fast"))
                 if ref_fp != fast_fp:
                     prefix = shrink_failing_prefix(records, config, scheme)
                     pytest.fail(
@@ -126,7 +131,7 @@ def test_corpus_shape():
     generators = {entry["generator"] for entry in pinned.values()}
     assert generators == {"ATH", "APC", "APH", "ABS"}
     expected_checks = {
-        _check_id(s, nb) for s in FUZZ_SCHEMES for nb in FUZZ_MODES
+        _check_id(s, nb) for s in FUZZ_SCHEMES for nb in CORPUS_MODES
     }
     for case_id, entry in pinned.items():
         assert set(entry["checks"]) == expected_checks, case_id
@@ -147,7 +152,7 @@ def test_run_fuzz_smoke_clean():
     report = run_fuzz(streams=4, scale=0.25)
     assert report.ok
     assert report.cases == 4
-    assert report.checks == 4 * len(FUZZ_SCHEMES) * len(FUZZ_MODES)
+    assert report.checks == 4 * len(FUZZ_SCHEMES)
     assert report.records > 0
 
 
@@ -175,11 +180,10 @@ class TestShrinker:
     def test_divergence_carries_minimized_repro(self, monkeypatch):
         self._patch(monkeypatch, lambda n: n >= 10)
         case = FuzzCase(generator="APC", seed=3, scale=0.25)
-        found = run_case(case, schemes=("dlp",), modes=(True,))
+        found = run_case(case, schemes=("dlp",))
         assert len(found) == 1
         div = found[0].to_dict()
         assert div["prefix"] == 10
         assert div["scheme"] == "dlp"
-        assert div["non_blocking"] is True
         assert "--generators APC" in div["repro"]
         assert "--seed 3" in div["repro"]

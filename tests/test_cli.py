@@ -25,6 +25,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_run_rejects_engine(self):
+        """Timing runs always use the reference L1D; ``--engine`` only
+        exists where replays happen."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "SS", "--engine", "fast"])
+
 
 class TestCommands:
     def test_list(self, capsys):

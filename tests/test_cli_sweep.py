@@ -81,6 +81,10 @@ class TestSweepCommand:
         counters = executor_counters(capsys.readouterr().out)
         assert counters["simulated"] == 4
 
+    def test_engine_without_replay_is_a_usage_error(self, capsys):
+        assert main(SWEEP_ARGS + ["--engine", "fast"]) == 2
+        assert "add --replay" in capsys.readouterr().err
+
     def test_unknown_scheme_errors(self, capsys):
         assert main(["sweep", "--apps", "MM", "--schemes", "magic"]) == 2
         assert "unknown scheme" in capsys.readouterr().err

@@ -86,6 +86,28 @@ class TestReplay:
         assert rc == 2
         assert "registry-recorded" in capsys.readouterr().err
 
+    def test_fast_replay_decodes_once(self, recorded, capsys, monkeypatch):
+        """``--engine fast`` replays every scheme in one batch pass: the
+        trace is decoded once, and the table matches the reference
+        engine's."""
+        import repro.batchsim.engine as batch_engine
+
+        argv = ["trace", "replay", str(recorded),
+                "--schemes", "baseline,global_protection,dlp"]
+        assert main(argv) == 0
+        reference = capsys.readouterr().out
+        calls = []
+        decode = batch_engine.decode_source
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(batch_engine, "decode_source", counting)
+        assert main(argv + ["--engine", "fast"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == reference
+
     def test_unknown_scheme_is_a_clean_error(self, recorded, capsys):
         rc = main(["trace", "replay", str(recorded),
                    "--schemes", "bogus"])
